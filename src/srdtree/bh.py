@@ -66,18 +66,10 @@ def sdiptc_bh(tree: RootedTree, attrs: EdgeAttrs, budget, max_changes: int) -> S
     return _finish_max(tree, attrs, counts, weights)
 
 
-def mcsdipt_bh(tree: RootedTree, attrs: EdgeAttrs, demand) -> SolveReport:
-    """Reach distance sum ``demand`` with the cheapest possible dearest edge.
-
-    Any price ceiling admits exactly the edges at or below it, so walk the
-    edges by ascending cost and stop at the first prefix whose total gain
-    covers the gap.  The reported cost is the cost of the last edge of that
-    prefix; zero-gain edges in the prefix are left untouched.  ``breakpoint``
-    is the largest prefix length whose gain still falls short.
-    """
-    counts = leaf_counts(tree)
+def _mcsdipt_bh_core(tree, attrs, demand, counts, alpha=None) -> SolveReport:
+    """mcsdipt_bh on given leaf counts; alpha is the cost order if known."""
     w, u, c = attrs.w, attrs.u, attrs.c
-    ids = list(tree.edge_ids)
+    ids = tree.edge_ids
 
     w_total = sum(counts[e] * w[e] for e in ids)
     u_total = sum(counts[e] * u[e] for e in ids)
@@ -87,7 +79,8 @@ def mcsdipt_bh(tree: RootedTree, attrs: EdgeAttrs, demand) -> SolveReport:
         return SolveReport(Status.ALREADY_SATISFIED, dict(w), 0, 0, frozenset())
 
     delta = demand - w_total
-    alpha = sorted(ids, key=lambda e: (c[e], e))
+    if alpha is None:
+        alpha = sorted(ids, key=lambda e: (c[e], e))
     prefix_gain = [0] * (len(alpha) + 1)
     for i, e in enumerate(alpha, start=1):
         prefix_gain[i] = prefix_gain[i - 1] + counts[e] * (u[e] - w[e])
@@ -102,6 +95,18 @@ def mcsdipt_bh(tree: RootedTree, attrs: EdgeAttrs, demand) -> SolveReport:
     mods = modified_edges(weights, attrs)
     return SolveReport(Status.FEASIBLE, weights, cost, cost, mods,
                        breakpoint=take - 1)
+
+
+def mcsdipt_bh(tree: RootedTree, attrs: EdgeAttrs, demand) -> SolveReport:
+    """Reach distance sum ``demand`` with the cheapest possible dearest edge.
+
+    Any price ceiling admits exactly the edges at or below it, so walk the
+    edges by ascending cost and stop at the first prefix whose total gain
+    covers the gap.  The reported cost is the cost of the last edge of that
+    prefix; zero-gain edges in the prefix are left untouched.  ``breakpoint``
+    is the largest prefix length whose gain still falls short.
+    """
+    return _mcsdipt_bh_core(tree, attrs, demand, leaf_counts(tree))
 
 
 def mcsdiptc_bh(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -> SolveReport:
@@ -134,7 +139,7 @@ def mcsdiptc_bh(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) ->
     if best_cap < delta:
         return SolveReport(Status.INFEASIBLE, None, math.inf, math.inf, frozenset())
 
-    base = mcsdipt_bh(tree, attrs, demand)
+    base = _mcsdipt_bh_core(tree, attrs, demand, counts, table.sorted_by_c)
     if len(base.modified_edges) <= max_changes:
         return base
 

@@ -277,8 +277,10 @@ def generate(config: GenConfig) -> InstanceFile:
     """Deterministic random instance with budget, demand and change bound.
 
     The budget lands in (0, max full-raise cost], the demand in
-    [w(T), u(T)) and the change bound in 1..n, so every generated instance
-    is solvable territory for all eight problems.
+    [w(T), u(T)) and the change bound in 1..n.  Every instance is thus
+    solvable for the budget problems and the uncapped demand problems; the
+    capped demand problems are infeasible whenever the change bound's
+    largest full raises fall short of the demand, which the draws allow.
     """
     if config.node_count < 2:
         raise BadConfig("need at least two nodes")

@@ -9,28 +9,30 @@ Four problems share it:
     mcsdiptc_inf  reach D cheaply while changing at most N edges
 
 The budget problems separate per edge and close in linear time.  The
-demand problems reduce to a one-dimensional search over the breakpoints
-where edges saturate; the cardinality variant wraps that search in a
-swap loop over candidate edge sets.
+demand problems are parametric in the cost level C: at level C an edge
+gains at most the capped amount min(S(e), nu(e) * C), which never falls
+as C rises, so the optimum is the least C whose gains (all of them, or
+the N largest) cover the demanded increase.  Both demand solvers bracket
+that C between two consecutive saturation costs F(e) by bisection and
+solve the linear piece inside the bracket in closed form, with no loop,
+cap or tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from itertools import accumulate, compress, islice, repeat
+from operator import ge, lt, mul
 
 from .errors import NegativeBudget, NOutOfRange
 from .report import SolveReport, Status
 from .scores import edge_scores
 from .selection import nth_largest
-from .tree import EdgeAttrs, RootedTree, leaf_counts, modified_edges, snap_unchanged
-
-# Relative slack for deciding which edges sit exactly at the current cost
-# level inside the swap loop; exact arithmetic uses equality instead.
-_AT_COST_RTOL = 1e-9
+from .tree import EdgeAttrs, RootedTree, leaf_counts, modified_edges, snap_unchanged, srd
 
 
-def _report(status, weights, cost, attrs, counts, **extra) -> SolveReport:
+def _report(status, weights, cost, attrs, **extra) -> SolveReport:
     if status is Status.INFEASIBLE:
         return SolveReport(status, None, math.inf, math.inf, frozenset(), **extra)
     if status is Status.ALREADY_SATISFIED:
@@ -38,6 +40,26 @@ def _report(status, weights, cost, attrs, counts, **extra) -> SolveReport:
     weights = snap_unchanged(weights, attrs)
     mods = modified_edges(weights, attrs)
     return SolveReport(status, weights, cost, cost, mods, **extra)
+
+
+def _finish_budget(tree, attrs, counts, weights) -> SolveReport:
+    weights = snap_unchanged(weights, attrs)
+    objective = sum(counts[e] * weights[e] for e in tree.edge_ids)
+    mods = modified_edges(weights, attrs)
+    cost = max((attrs.c[e] * (weights[e] - attrs.w[e]) for e in mods), default=0)
+    return SolveReport(Status.FEASIBLE, weights, objective, cost, mods)
+
+
+def _sdipt_core(tree, attrs, budget, counts) -> SolveReport:
+    w, u, c = attrs.w, attrs.u, attrs.c
+    weights = {}
+    for e in tree.edge_ids:
+        step = budget / c[e]
+        gap = u[e] - w[e]
+        if gap < step:
+            step = gap
+        weights[e] = w[e] + step if step > 0 else w[e]
+    return _finish_budget(tree, attrs, counts, weights)
 
 
 def sdipt_inf(tree: RootedTree, attrs: EdgeAttrs, budget) -> SolveReport:
@@ -48,22 +70,7 @@ def sdipt_inf(tree: RootedTree, attrs: EdgeAttrs, budget) -> SolveReport:
     """
     if budget < 0:
         raise NegativeBudget(f"budget {budget} is negative")
-    counts = leaf_counts(tree)
-    w, u, c = attrs.w, attrs.u, attrs.c
-
-    weights = {}
-    for e in tree.edge_ids:
-        step = budget / c[e]
-        gap = u[e] - w[e]
-        if gap < step:
-            step = gap
-        weights[e] = w[e] + step if step > 0 else w[e]
-
-    weights = snap_unchanged(weights, attrs)
-    objective = sum(counts[e] * weights[e] for e in tree.edge_ids)
-    mods = modified_edges(weights, attrs)
-    cost = max((c[e] * (weights[e] - w[e]) for e in mods), default=0)
-    return SolveReport(Status.FEASIBLE, weights, objective, cost, mods)
+    return _sdipt_core(tree, attrs, budget, leaf_counts(tree))
 
 
 def sdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, budget, max_changes: int) -> SolveReport:
@@ -79,18 +86,15 @@ def sdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, budget, max_changes: int) -> 
     if not 1 <= max_changes <= tree.n:
         raise NOutOfRange(f"edge bound {max_changes} outside 1..{tree.n}")
 
-    base = sdipt_inf(tree, attrs, budget)
     counts = leaf_counts(tree)
+    base = _sdipt_core(tree, attrs, budget, counts)
     w = attrs.w
 
     gains = [(e, counts[e] * (base.weights[e] - w[e])) for e in tree.edge_ids]
     chosen = set(nth_largest(gains, max_changes).chosen_ids)
 
     weights = {e: base.weights[e] if e in chosen else w[e] for e in tree.edge_ids}
-    objective = sum(counts[e] * weights[e] for e in tree.edge_ids)
-    mods = modified_edges(weights, attrs)
-    cost = max((attrs.c[e] * (weights[e] - w[e]) for e in mods), default=0)
-    return SolveReport(Status.FEASIBLE, weights, objective, cost, mods)
+    return _finish_budget(tree, attrs, counts, weights)
 
 
 def _mcsdipt_core(ids, counts, w, u, c, demand):
@@ -134,8 +138,12 @@ def _mcsdipt_core(ids, counts, w, u, c, demand):
         covered[k] = acc + F[e] * tail[k]
 
     # covered is non-decreasing and covered[n] = u_total - w_total >= delta,
-    # so the bisection always lands inside the table.
+    # so the bisection lands inside the table unless float dust leaves
+    # covered[n] a hair below the delta that u_total cleared; all of u
+    # reaches the demand then, at the dearest saturation cost.
     idx = bisect_left(covered, delta)
+    if idx > n:
+        return Status.FEASIBLE, dict(u), F[order[-1]], n
     k_star = idx - 1
 
     level = F[order[k_star - 1]] if k_star >= 1 else 0
@@ -149,7 +157,8 @@ def _mcsdipt_core(ids, counts, w, u, c, demand):
         weights[e] = u[e]
     for i in range(k_star, n):
         e = order[i]
-        weights[e] = w[e] + level / c[e] + rem / (c[e] * rs)
+        # rounding may overshoot u by a few ulps on the edge due next
+        weights[e] = min(u[e], w[e] + level / c[e] + rem / (c[e] * rs))
     return Status.FEASIBLE, weights, cost, k_star
 
 
@@ -164,216 +173,108 @@ def mcsdipt_inf(tree: RootedTree, attrs: EdgeAttrs, demand) -> SolveReport:
     ids = list(tree.edge_ids)
     status, weights, cost, k_star = _mcsdipt_core(
         ids, counts, attrs.w, attrs.u, attrs.c, demand)
-    return _report(status, weights, cost, attrs, counts, breakpoint=k_star)
+    return _report(status, weights, cost, attrs, breakpoint=k_star)
 
 
-class _MaxTree:
-    """Positional max tree over candidate gains.
-
-    Supports finding the first position before a limit whose value clears a
-    threshold, and masking positions out once their edge has been taken.
-    Values only need comparison operators, so exact rationals work.
-    """
-
-    __slots__ = ("size", "node")
-
-    def __init__(self, vals):
-        size = 1
-        while size < len(vals):
-            size *= 2
-        self.size = size
-        node = [None] * (2 * size)
-        node[size:size + len(vals)] = list(vals)
-        for i in range(size - 1, 0, -1):
-            node[i] = self._mx(node[2 * i], node[2 * i + 1])
-        self.node = node
-
-    @staticmethod
-    def _mx(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return a if a >= b else b
-
-    def mask(self, t: int) -> None:
-        i = self.size + t
-        self.node[i] = None
-        i //= 2
-        while i:
-            self.node[i] = self._mx(self.node[2 * i], self.node[2 * i + 1])
-            i //= 2
-
-    def first(self, limit: int, theta, strict: bool) -> int:
-        """Smallest unmasked t < limit with value > theta (>= if not strict)."""
-        return self._descend(1, 0, self.size, limit, theta, strict)
-
-    def _descend(self, i, lo, hi, limit, theta, strict):
-        if lo >= limit:
-            return -1
-        v = self.node[i]
-        if v is None or v < theta or (strict and v == theta):
-            return -1
-        if lo + 1 == hi:
-            return lo
-        mid = (lo + hi) // 2
-        t = self._descend(2 * i, lo, mid, limit, theta, strict)
-        if t != -1:
-            return t
-        return self._descend(2 * i + 1, mid, hi, limit, theta, strict)
 
 
 def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -> SolveReport:
     """Reach ``demand`` cheaply while raising at most ``max_changes`` edges.
 
-    Keeps a working set of at most max_changes candidate edges, solves the
-    unrestricted demand problem confined to that set, then tries to swap a
-    member for an outside edge that packs at least the same capped gain at
-    a better rate.  The capped gain of e under cost level C is
-    min(S(e), nu(e) * C): more than S(e) is impossible and more than
-    nu(e) * C is never bought at that level.  Swapping repeats until a
-    whole pass makes no exchange; the cost level never rises along the way.
+    At cost level C edge e gains at most g(e, C) = min(S(e), nu(e) * C);
+    more than S(e) is impossible and more than nu(e) * C costs more than C.
+    The sum top(C) of the N = max_changes largest gains never falls as C
+    rises, so the optimum is C* = min{C : top(C) >= delta}, with delta the
+    demanded increase (Megiddo's parametric pattern).  The solve:
 
-    Within a pass the members and the outside candidates are frozen, the
-    candidates sit in descending gain-per-cost order, and each member takes
-    the first candidate that qualifies for it, looked up through a max tree
-    over candidate gains instead of a linear scan.  An edge swapped in is
-    masked for the rest of the pass; an edge swapped out becomes a
-    candidate again on the next pass.
+    1. bisects over the distinct saturation costs F, ascending, for the
+       bracket (F[k-1], F[k]] that holds C*, one top() per probe;
+    2. inside the bracket the edges with F <= F[k-1] gain the constants S
+       and every other edge the line nu * C, so with A and B the prefix
+       sums of those S and nu sorted descending,
+       top(C) = max_j A[j] + C * B[N - j] and
+       C* = min over j with B[N - j] > 0 of (delta - A[j]) / B[N - j];
+    3. raises the N edges of largest gain at C*, ties to the smaller id:
+       to u when F <= C*, otherwise to min(u, w + C* / c).
 
-    A defensive cap of n * max_changes passes guards nontermination; if it
-    ever trips the best intermediate solution is returned with
-    ``cap_tripped`` set.
+    Only +, -, *, / and comparisons are used, so exact rationals stay
+    exact.  The demand is reachable exactly when ``srd`` of the vector
+    that raises the N largest S to u reaches it; should float dust keep
+    top() below delta even at the dearest F, that vector is the answer.
+    ``breakpoint`` is k and ``iterations`` the number of probes.
     """
     n = tree.n
     if not 1 <= max_changes <= n:
         raise NOutOfRange(f"edge bound {max_changes} outside 1..{n}")
 
     counts = leaf_counts(tree)
-    ids = list(tree.edge_ids)
     w, u, c = attrs.w, attrs.u, attrs.c
-
-    w_total = sum(counts[e] * w[e] for e in ids)
+    w_total = sum(counts[e] * w[e] for e in tree.edge_ids)
     if demand <= w_total:
-        return _report(Status.ALREADY_SATISFIED, dict(w), 0, attrs, counts)
+        return _report(Status.ALREADY_SATISFIED, dict(w), 0, attrs)
 
     table = edge_scores(tree, attrs, counts)
-    S, nu = table.S, table.nu
+    F, S, nu = table.F, table.S, table.nu
+    by_S, by_nu = table.sorted_by_S, table.sorted_by_nu
+    N = max_changes
+    full = dict(w)
+    for e in by_S[:N]:
+        full[e] = u[e]
+    if srd(tree, full, counts) < demand:
+        return _report(Status.INFEASIBLE, None, math.inf, attrs)
     delta = demand - w_total
 
-    best_cap = sum(S[e] for e in table.sorted_by_S[:max_changes])
-    if best_cap < delta:
-        return _report(Status.INFEASIBLE, None, math.inf, attrs, counts)
+    F_by_S = [F[e] for e in by_S]
+    F_by_nu = [F[e] for e in by_nu]
 
-    # Zero-gain edges can neither raise the sum nor improve a swap.
-    current = {e for e in table.sorted_by_S[:max_changes] if S[e] > 0}
-    targets_all = [e for e in table.sorted_by_nu if S[e] > 0]
+    def split(level):
+        """The N largest-S edges saturated at level, the N largest-nu others."""
+        sat = islice(compress(by_S, map(ge, repeat(level), F_by_S)), N)
+        free = islice(compress(by_nu, map(lt, repeat(level), F_by_nu)), N)
+        return list(sat), list(free)
 
-    pass_cap = n * max_changes
-    trace = []
-    best = None
-    iterations = 0
-    cap_tripped = False
+    def top(level):
+        """Sum of the N largest capped gains at level."""
+        sat, free = split(level)
+        gains = [*map(S.__getitem__, sat),
+                 *map(mul, map(nu.__getitem__, free), repeat(level))]
+        gains.sort(reverse=True)
+        return sum(gains[:N])
 
-    while True:
-        iterations += 1
-        # The demand problem confined to the working set: outside edges are
-        # pinned at w, so solving over the members alone is the same
-        # problem.  The demand is rebased onto the members' starting sum.
-        members = sorted(current)
-        base_m = sum(counts[e] * w[e] for e in members)
-        status, weights_r, cost, k_star = _mcsdipt_core(
-            members, counts, w, u, c, base_m + delta)
-        if status is Status.ALREADY_SATISFIED:
-            # The demand sits within float resolution of the starting sum.
-            return _report(Status.ALREADY_SATISFIED, dict(w), 0, attrs, counts,
-                           iterations=iterations, iteration_costs=tuple(trace))
-        if status is not Status.FEASIBLE:
-            # Float dust at the feasibility boundary: the rebased sum can
-            # land a hair under a demand that the gate's gain-order sum
-            # cleared.  Stand by the best earlier pass, or call the
-            # instance infeasible if this was the first.
-            if best is None:
-                return _report(Status.INFEASIBLE, None, math.inf, attrs, counts,
-                               iterations=iterations)
-            final_cost, final_weights_r, final_k = best
-            break
-        trace.append(cost)
-        if best is None or cost < best[0]:
-            best = (cost, weights_r, k_star)
-
-        if isinstance(cost, float):
-            at_tol = _AT_COST_RTOL * max(1.0, cost)
+    levels = list(dict.fromkeys(map(F.__getitem__, table.sorted_by_F)))
+    lo, hi, probes = 0, len(levels), 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probes += 1
+        if top(levels[mid]) >= delta:
+            hi = mid
         else:
-            at_tol = 0
-        at_cost = {e for e in members
-                   if abs(c[e] * (weights_r[e] - w[e]) - cost) <= at_tol}
+            lo = mid + 1
+    k = lo
+    if k == len(levels):
+        cost = max(F[e] for e in by_S[:N])
+        return _report(Status.FEASIBLE, full, cost, attrs,
+                       iterations=probes, breakpoint=k)
 
-        cand = [e for e in targets_all if e not in current]
-        m = len(cand)
-        swapped = False
-        if m:
-            nu_cand = [nu[e] for e in cand]
-            gains = _MaxTree([S[e] for e in cand])
+    # Inside the bracket: j of the N come from the saturated constants A,
+    # the other N - j from the unsaturated lines B * C; j = N is a
+    # constant that the bracket's lower end already failed to reach.
+    sat, free = split(levels[k - 1] if k else 0)
+    A = list(accumulate(map(S.__getitem__, sat), initial=0))
+    B = list(accumulate(map(nu.__getitem__, free), initial=0))
+    cost = min((delta - A[j]) / B[N - j]
+               for j in range(max(0, N - len(free)), min(len(sat), N - 1) + 1))
+    # the probe at F[k] counted the edges saturating there as S, the lines
+    # here as nu * F[k]; rounding may put the crossing a hair past F[k]
+    if cost > levels[k]:
+        cost = levels[k]
 
-            def cut_nu(x):
-                # first candidate whose rate is not above x
-                lo, hi = 0, m
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if nu_cand[mid] <= x:
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                return lo
-
-            def cut_cap(bound, strict):
-                # first candidate whose capped gain falls below bound
-                # (at or below it when strict)
-                lo, hi = 0, m
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    capm = nu_cand[mid] * cost
-                    below = capm < bound if strict else capm <= bound
-                    if below:
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                return lo
-
-            for ei in members:
-                cap_i = nu[ei] * cost
-                s_i = S[ei] if S[ei] < cap_i else cap_i
-                if ei in at_cost:
-                    # ei pays full price: any higher-rate candidate with at
-                    # least the same capped gain is an improvement.  The
-                    # capped gain of a candidate inside the cap cutoff
-                    # clears s_i exactly when its full gain does.
-                    limit = cut_nu(nu[ei])
-                    cap_limit = cut_cap(s_i, True)
-                    if cap_limit < limit:
-                        limit = cap_limit
-                    q = gains.first(limit, s_i, strict=False)
-                else:
-                    # ei is below the price ceiling: only a strictly larger
-                    # capped gain justifies the exchange.
-                    q = gains.first(cut_cap(s_i, False), s_i, strict=True)
-                if q != -1:
-                    current.remove(ei)
-                    current.add(cand[q])
-                    gains.mask(q)
-                    swapped = True
-
-        if not swapped:
-            final_cost, final_weights_r, final_k = cost, weights_r, k_star
-            break
-        if iterations >= pass_cap:
-            cap_tripped = True
-            final_cost, final_weights_r, final_k = best
-            break
-
-    final_weights = dict(w)
-    final_weights.update(final_weights_r)
-    return _report(Status.FEASIBLE, final_weights, final_cost, attrs, counts,
-                   iterations=iterations, breakpoint=final_k,
-                   iteration_costs=tuple(trace), cap_tripped=cap_tripped)
+    sat, free = split(cost)
+    gain = {e: S[e] for e in sat}
+    gain.update((e, nu[e] * cost) for e in free)
+    chosen = sorted(gain, key=lambda e: (-gain[e], e))[:N]
+    weights = dict(w)
+    for e in chosen:
+        weights[e] = u[e] if F[e] <= cost else min(u[e], w[e] + cost / c[e])
+    return _report(Status.FEASIBLE, weights, cost, attrs,
+                   iterations=probes, breakpoint=k)

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .errors import DemandOutOfRange, InstanceTooLarge, UnknownProblemTag
 from .tree import EdgeAttrs, RootedTree, leaf_counts
 
@@ -42,6 +40,10 @@ def grid_sdipt_inf(tree: RootedTree, attrs: EdgeAttrs, budget,
     its slack; raises priced above the budget are discarded.  The result
     underestimates the true optimum by at most one grid step per edge.
     """
+    # Imported here, not at module level: nothing else in the package
+    # needs numpy, and the command line pulls this module in.
+    import numpy as np
+
     steps = round(1.0 / resolution)
     counts = leaf_counts(tree)
     w, u, c = attrs.w, attrs.u, attrs.c

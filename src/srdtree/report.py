@@ -32,9 +32,8 @@ class SolveReport:
 
     breakpoint records the index the demand solvers bracket their answer
     with, so an outside check can rebuild the whole solution from it.
-    iterations and iteration_costs trace the swap loop of the cardinality
-    demand solver; cap_tripped flags the defensive iteration cap, in which
-    case the best intermediate solution is returned.
+    iterations counts the bisection probes of the cardinality demand
+    solver under the scaled-raise norm, and stays 0 elsewhere.
     """
 
     status: Status
@@ -44,5 +43,3 @@ class SolveReport:
     modified_edges: frozenset
     iterations: int = 0
     breakpoint: int | None = None
-    iteration_costs: tuple = ()
-    cap_tripped: bool = False

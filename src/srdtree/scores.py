@@ -44,12 +44,14 @@ def edge_scores(tree: RootedTree, attrs: EdgeAttrs, counts: dict | None = None) 
     S = {e: counts[e] * (u[e] - w[e]) for e in ids}
     nu = {e: counts[e] / c[e] for e in ids}
 
+    # ids ascend and sorted() is stable, also with reverse=True, so ties
+    # keep ascending ids without a tuple key per edge
     return EdgeScoreTable(
         F=F,
         S=S,
         nu=nu,
-        sorted_by_F=tuple(sorted(ids, key=lambda e: (F[e], e))),
-        sorted_by_S=tuple(sorted(ids, key=lambda e: (-S[e], e))),
-        sorted_by_nu=tuple(sorted(ids, key=lambda e: (-nu[e], e))),
-        sorted_by_c=tuple(sorted(ids, key=lambda e: (c[e], e))),
+        sorted_by_F=tuple(sorted(ids, key=F.__getitem__)),
+        sorted_by_S=tuple(sorted(ids, key=S.__getitem__, reverse=True)),
+        sorted_by_nu=tuple(sorted(ids, key=nu.__getitem__, reverse=True)),
+        sorted_by_c=tuple(sorted(ids, key=c.__getitem__)),
     )

@@ -191,9 +191,13 @@ def leaf_counts(tree: RootedTree) -> dict:
     return {eid: below[child] for eid, child in tree.child_of_edge.items()}
 
 
-def srd(tree: RootedTree, weights: dict):
-    """Sum of root-leaf distances of the tree under the given weight vector."""
-    counts = leaf_counts(tree)
+def srd(tree: RootedTree, weights: dict, counts: dict | None = None):
+    """Sum of root-leaf distances of the tree under the given weight vector.
+
+    Pass precomputed leaf counts to skip that walk.
+    """
+    if counts is None:
+        counts = leaf_counts(tree)
     total = 0
     for eid in tree.edge_ids:
         if eid not in weights:

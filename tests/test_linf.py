@@ -7,17 +7,21 @@ from hypothesis import strategies as st
 
 from srdtree import (
     EdgeAttrs,
+    GenConfig,
     NegativeBudget,
     NOutOfRange,
     Status,
     build_tree,
+    generate,
     mcsdipt_inf,
     mcsdiptc_inf,
     sdipt_inf,
     sdiptc_inf,
     srd,
 )
+from srdtree.instance import SHAPES
 
+from certificates import capped_demand_faults, capped_top
 from strategies import tree_and_attrs
 
 
@@ -211,8 +215,9 @@ class TestDemandMinCapped:
         assert rep.cost == pytest.approx(1.5)
         assert rep.modified_edges == frozenset({1})
         assert srd(tree, rep.weights) == pytest.approx(7.0)
-        assert rep.iterations >= 1
-        assert not rep.cap_tripped
+        # F levels {2, 4}: two probes bracket the optimum below F = 2
+        assert rep.iterations == 2
+        assert rep.breakpoint == 0
 
     def test_top_gains_cannot_cover(self):
         edges = [(i, "s", f"t{i}") for i in (1, 2, 3)]
@@ -253,7 +258,6 @@ class TestDemandMinCapped:
         u_total = srd(tree, attrs.u)
         demand = w_total + frac * (u_total - w_total)
         rep = mcsdiptc_inf(tree, attrs, demand, cap)
-        assert not rep.cap_tripped
         if rep.status is not Status.FEASIBLE:
             return
         assert len(rep.modified_edges) <= cap
@@ -265,16 +269,35 @@ class TestDemandMinCapped:
                 assert rep.weights[e] == attrs.w[e]
 
     @given(tree_and_attrs(min_edges=2, max_edges=10),
-           st.floats(min_value=0.05, max_value=0.95))
-    def test_swap_trace_is_monotone(self, ta, frac):
+           st.floats(min_value=0.0, max_value=1.05), st.data())
+    def test_cost_is_certified(self, ta, frac, data):
+        # the cost covers delta, a cost 1e-9 lower does not, and the
+        # witness stays in the bounds, changes at most N edges and reaches D
         tree, attrs = ta
+        cap = data.draw(st.integers(min_value=1, max_value=tree.n))
         w_total = srd(tree, attrs.w)
         u_total = srd(tree, attrs.u)
         demand = w_total + frac * (u_total - w_total)
-        rep = mcsdiptc_inf(tree, attrs, demand, max(1, tree.n // 2))
-        costs = rep.iteration_costs
-        for earlier, later in zip(costs, costs[1:]):
-            assert later <= earlier + 1e-12
+        rep = mcsdiptc_inf(tree, attrs, demand, cap)
+        assert capped_demand_faults(tree, attrs, demand, cap, rep) == []
+
+    @given(tree_and_attrs(min_edges=2, max_edges=10, exact=True),
+           st.fractions(min_value=0, max_value=1), st.data())
+    def test_exact_cost_meets_the_demand_with_equality(self, ta, frac, data):
+        tree, attrs = ta
+        cap = data.draw(st.integers(min_value=1, max_value=tree.n))
+        w_total = srd(tree, attrs.w)
+        top_gain = capped_top(tree, attrs, max(
+            attrs.c[e] * (attrs.u[e] - attrs.w[e]) for e in tree.edge_ids), cap)
+        demand = w_total + frac * top_gain
+        rep = mcsdiptc_inf(tree, attrs, demand, cap)
+        if demand == w_total:
+            assert rep.status is Status.ALREADY_SATISFIED
+            return
+        assert rep.status is Status.FEASIBLE
+        assert capped_top(tree, attrs, rep.cost, cap) == demand - w_total
+        assert srd(tree, rep.weights) == demand
+        assert len(rep.modified_edges) <= cap
 
     @given(tree_and_attrs(), st.floats(min_value=0.0, max_value=1.0))
     def test_full_cap_matches_unconstrained(self, ta, frac):
@@ -287,3 +310,36 @@ class TestDemandMinCapped:
         assert capped.status is free.status
         if free.status is Status.FEASIBLE:
             assert capped.cost == pytest.approx(free.cost, rel=1e-9, abs=1e-12)
+
+
+class TestExactReachableBoundary:
+    """Demand D = srd(tree, u) with N = n: all of u reaches it exactly."""
+
+    @staticmethod
+    def check(tree, attrs, rep):
+        if srd(tree, attrs.u) <= srd(tree, attrs.w):
+            assert rep.status is Status.ALREADY_SATISFIED
+            return
+        assert rep.status is Status.FEASIBLE
+        for e in tree.edge_ids:
+            assert attrs.w[e] <= rep.weights[e] <= attrs.u[e]
+
+    @given(tree_and_attrs(max_edges=30))
+    def test_uncapped(self, ta):
+        tree, attrs = ta
+        self.check(tree, attrs, mcsdipt_inf(tree, attrs, srd(tree, attrs.u)))
+
+    @given(tree_and_attrs(max_edges=30))
+    def test_capped(self, ta):
+        tree, attrs = ta
+        rep = mcsdiptc_inf(tree, attrs, srd(tree, attrs.u), tree.n)
+        self.check(tree, attrs, rep)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_generated_trees(self, shape):
+        for edges in range(2, 65):
+            inst = generate(GenConfig(node_count=edges + 1, seed=edges, shape=shape))
+            tree, attrs = inst.tree, inst.attrs
+            demand = srd(tree, attrs.u)
+            self.check(tree, attrs, mcsdipt_inf(tree, attrs, demand))
+            self.check(tree, attrs, mcsdiptc_inf(tree, attrs, demand, tree.n))
