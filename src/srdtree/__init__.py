@@ -12,6 +12,7 @@ from .bh import mcsdipt_bh, mcsdiptc_bh, sdipt_bh, sdiptc_bh
 from .errors import (
     AttrBoundsViolated,
     BadConfig,
+    BadParameter,
     BoundViolation,
     CycleDetected,
     DemandOutOfRange,
@@ -43,7 +44,6 @@ from .instance import (
 from .linf import mcsdipt_inf, mcsdiptc_inf, sdipt_inf, sdiptc_inf
 from .report import SolveReport, Status
 from .scores import EdgeScoreTable, edge_scores
-from .selection import SelectionResult, nth_largest
 from .tree import (
     EdgeAttrs,
     RootedTree,
@@ -57,6 +57,7 @@ from .tree import (
 __all__ = [
     "AttrBoundsViolated",
     "BadConfig",
+    "BadParameter",
     "BoundViolation",
     "CycleDetected",
     "DemandOutOfRange",
@@ -78,7 +79,6 @@ __all__ = [
     "NegativeBudget",
     "ProblemParams",
     "RootedTree",
-    "SelectionResult",
     "SolveReport",
     "SplitMix64",
     "SrdTreeError",
@@ -95,7 +95,6 @@ __all__ = [
     "mcsdiptc_bh",
     "mcsdiptc_inf",
     "modified_edges",
-    "nth_largest",
     "parse",
     "sdipt_bh",
     "sdipt_inf",

@@ -16,26 +16,24 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left
+from itertools import islice
 
-from .errors import NegativeBudget, NOutOfRange
+from .errors import check_budget, check_change_bound, check_demand
 from .report import SolveReport, Status
 from .scores import edge_scores
-from .selection import nth_largest
-from .tree import EdgeAttrs, RootedTree, leaf_counts, modified_edges, snap_unchanged
+from .tree import EdgeAttrs, RootedTree, leaf_counts, snap_unchanged, srd
 
 
 def _finish_max(tree, attrs, counts, weights) -> SolveReport:
-    weights = snap_unchanged(weights, attrs)
+    weights, mods = snap_unchanged(weights, attrs)
     objective = sum(counts[e] * weights[e] for e in tree.edge_ids)
-    mods = modified_edges(weights, attrs)
     cost = max((attrs.c[e] for e in mods), default=0)
     return SolveReport(Status.FEASIBLE, weights, objective, cost, mods)
 
 
 def sdipt_bh(tree: RootedTree, attrs: EdgeAttrs, budget) -> SolveReport:
     """Raise every edge whose cost fits under ``budget`` to its bound."""
-    if budget < 0:
-        raise NegativeBudget(f"budget {budget} is negative")
+    check_budget(budget)
     counts = leaf_counts(tree)
     w, u, c = attrs.w, attrs.u, attrs.c
     weights = {e: u[e] if c[e] <= budget else w[e] for e in tree.edge_ids}
@@ -49,10 +47,8 @@ def sdiptc_bh(tree: RootedTree, attrs: EdgeAttrs, budget, max_changes: int) -> S
     answer already qualifies.  Otherwise keep the max_changes affordable
     edges with the largest full-raise gains S(e), smaller ids first on ties.
     """
-    if budget < 0:
-        raise NegativeBudget(f"budget {budget} is negative")
-    if not 1 <= max_changes <= tree.n:
-        raise NOutOfRange(f"edge bound {max_changes} outside 1..{tree.n}")
+    check_budget(budget)
+    check_change_bound(max_changes, tree.n)
 
     w, u, c = attrs.w, attrs.u, attrs.c
     affordable = [e for e in tree.edge_ids if c[e] <= budget]
@@ -60,10 +56,24 @@ def sdiptc_bh(tree: RootedTree, attrs: EdgeAttrs, budget, max_changes: int) -> S
         return sdipt_bh(tree, attrs, budget)
 
     counts = leaf_counts(tree)
-    gains = [(e, counts[e] * (u[e] - w[e])) for e in affordable]
-    chosen = set(nth_largest(gains, max_changes).chosen_ids)
+    # affordable ids ascend and the sort is stable, so ties keep the smaller id
+    gain = {e: counts[e] * (u[e] - w[e]) for e in affordable}
+    chosen = set(sorted(gain, key=gain.__getitem__, reverse=True)[:max_changes])
     weights = {e: u[e] if e in chosen else w[e] for e in tree.edge_ids}
     return _finish_max(tree, attrs, counts, weights)
+
+
+def _raise_to_u(attrs, edges, breakpoint) -> SolveReport:
+    """Raise the given edges to u; the cost is the dearest edge that moves."""
+    w, u = attrs.w, attrs.u
+    raised = [e for e in edges if u[e] > w[e]]
+    weights = dict(w)
+    for e in raised:
+        weights[e] = u[e]
+    weights, mods = snap_unchanged(weights, attrs)
+    cost = max(attrs.c[e] for e in raised)
+    return SolveReport(Status.FEASIBLE, weights, cost, cost, mods,
+                       breakpoint=breakpoint)
 
 
 def _mcsdipt_bh_core(tree, attrs, demand, counts, alpha=None) -> SolveReport:
@@ -85,16 +95,10 @@ def _mcsdipt_bh_core(tree, attrs, demand, counts, alpha=None) -> SolveReport:
     for i, e in enumerate(alpha, start=1):
         prefix_gain[i] = prefix_gain[i - 1] + counts[e] * (u[e] - w[e])
 
-    take = bisect_left(prefix_gain, delta)  # smallest prefix covering delta
-    weights = dict(w)
-    for e in alpha[:take]:
-        if u[e] > w[e]:
-            weights[e] = u[e]
-    weights = snap_unchanged(weights, attrs)
-    cost = c[alpha[take - 1]]
-    mods = modified_edges(weights, attrs)
-    return SolveReport(Status.FEASIBLE, weights, cost, cost, mods,
-                       breakpoint=take - 1)
+    # the smallest prefix covering delta; should float dust leave the whole
+    # table a hair below the delta that u_total cleared, all of u is the answer
+    take = min(bisect_left(prefix_gain, delta), len(alpha))
+    return _raise_to_u(attrs, alpha[:take], breakpoint=take - 1)
 
 
 def mcsdipt_bh(tree: RootedTree, attrs: EdgeAttrs, demand) -> SolveReport:
@@ -102,28 +106,32 @@ def mcsdipt_bh(tree: RootedTree, attrs: EdgeAttrs, demand) -> SolveReport:
 
     Any price ceiling admits exactly the edges at or below it, so walk the
     edges by ascending cost and stop at the first prefix whose total gain
-    covers the gap.  The reported cost is the cost of the last edge of that
-    prefix; zero-gain edges in the prefix are left untouched.  ``breakpoint``
-    is the largest prefix length whose gain still falls short.
+    covers the gap.  The reported cost is the cost of the dearest edge of
+    that prefix that moves; zero-gain edges in the prefix are left
+    untouched.  ``breakpoint`` is the largest prefix length whose gain
+    still falls short.
     """
+    check_demand(demand)
     return _mcsdipt_bh_core(tree, attrs, demand, leaf_counts(tree))
 
 
 def mcsdiptc_bh(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -> SolveReport:
     """Reach ``demand`` changing at most ``max_changes`` edges.
 
-    Infeasible when even the max_changes largest full-raise gains cannot
-    cover the gap.  When the unconstrained cost-ordered answer already
-    changes few enough edges it is passed through unchanged.  Otherwise the
-    answer is the shortest cost-ordered prefix whose best max_changes gains
-    cover the gap: the prefix length is found by bisection on that monotone
-    quantity (tabulated with one running min-heap sweep), the edge set is
-    the top gains inside the prefix with ties to smaller ids, and the cost
-    is the last prefix edge, which always belongs to the set.
+    Infeasible exactly when ``srd`` of the vector that raises the
+    max_changes largest full-raise gains to u falls short of the demand.
+    When the unconstrained cost-ordered answer already changes few enough
+    edges it is passed through unchanged.  Otherwise the answer is the
+    shortest cost-ordered prefix whose best max_changes gains cover the
+    gap: the prefix length is found by bisection on that monotone quantity
+    (tabulated with one running min-heap sweep), the edge set is the top
+    gains inside the prefix with ties to smaller ids, and the cost is the
+    dearest edge that moves: the last prefix edge, which always belongs to
+    the set.  Should float dust keep the table below the gap, the prefix is
+    every edge.
     """
-    n = tree.n
-    if not 1 <= max_changes <= n:
-        raise NOutOfRange(f"edge bound {max_changes} outside 1..{n}")
+    check_demand(demand)
+    check_change_bound(max_changes, tree.n)
 
     counts = leaf_counts(tree)
     w, u = attrs.w, attrs.u
@@ -133,11 +141,13 @@ def mcsdiptc_bh(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) ->
         return SolveReport(Status.ALREADY_SATISFIED, dict(w), 0, 0, frozenset())
 
     table = edge_scores(tree, attrs, counts)
-    S = table.S
-    delta = demand - w_total
-    best_cap = sum(S[e] for e in table.sorted_by_S[:max_changes])
-    if best_cap < delta:
+    S, by_S = table.S, table.sorted_by_S
+    full = dict(w)
+    for e in by_S[:max_changes]:
+        full[e] = u[e]
+    if srd(tree, full, counts) < demand:
         return SolveReport(Status.INFEASIBLE, None, math.inf, math.inf, frozenset())
+    delta = demand - w_total
 
     base = _mcsdipt_bh_core(tree, attrs, demand, counts, table.sorted_by_c)
     if len(base.modified_edges) <= max_changes:
@@ -145,7 +155,7 @@ def mcsdiptc_bh(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) ->
 
     alpha = table.sorted_by_c
     # capped[i] = sum of the max_changes largest S among the first N + i
-    # prefix edges; non-decreasing in i, and the last entry is best_cap.
+    # prefix edges; non-decreasing in i
     heap = []
     running = 0
     capped = []
@@ -159,15 +169,9 @@ def mcsdiptc_bh(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) ->
         if k >= max_changes:
             capped.append(running)
 
-    take = max_changes + bisect_left(capped, delta)
-    chosen = nth_largest([(e, S[e]) for e in alpha[:take]], max_changes).chosen_ids
-
-    weights = dict(w)
-    for e in chosen:
-        if u[e] > w[e]:
-            weights[e] = u[e]
-    weights = snap_unchanged(weights, attrs)
-    cost = attrs.c[alpha[take - 1]]
-    mods = modified_edges(weights, attrs)
-    return SolveReport(Status.FEASIBLE, weights, cost, cost, mods,
-                       breakpoint=take)
+    take = min(max_changes + bisect_left(capped, delta), len(alpha))
+    # by_S lists S descending with ties in ascending id order, so its first
+    # max_changes prefix edges are the top gains with ties to smaller ids
+    prefix = set(alpha[:take])
+    chosen = islice((e for e in by_S if e in prefix), max_changes)
+    return _raise_to_u(attrs, chosen, breakpoint=take)

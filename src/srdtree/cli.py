@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from . import bh, linf, oracles
 from .errors import MissingParam, SrdTreeError
@@ -61,21 +60,6 @@ REL_TOL = 1e-9
 ORACLE_CHANGE_CAP = 3  # subset oracle guard for the cardinality demand problem
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """One solve, ready for text or JSON emission."""
-
-    problem: str
-    norm: str
-    status: str
-    objective: object
-    cost: object
-    modified_edges: tuple
-    iterations: int
-    wall_time_seconds: float
-    instance_digest: str
-
-
 def _solve_args(problem: str, params: ProblemParams):
     need = _NEEDS[problem]
     values = []
@@ -99,30 +83,32 @@ def _fmt_value(x) -> str:
     return str(x)
 
 
-def _emit_report(rep: RunReport, as_json: bool, out) -> None:
-    if as_json:
+def _emit_report(args, report: SolveReport, elapsed: float, instance_digest: str,
+                 out) -> None:
+    mods = sorted(report.modified_edges)
+    if args.json:
         payload = {
-            "problem": rep.problem,
-            "norm": rep.norm,
-            "status": rep.status,
-            "objective": None if rep.objective == float("inf") else rep.objective,
-            "cost": None if rep.cost == float("inf") else rep.cost,
-            "modified_edges": list(rep.modified_edges),
-            "iterations": rep.iterations,
-            "wall_time_seconds": rep.wall_time_seconds,
-            "instance_digest": rep.instance_digest,
+            "problem": args.problem,
+            "norm": args.norm,
+            "status": report.status.value,
+            "objective": None if report.objective == float("inf") else report.objective,
+            "cost": None if report.cost == float("inf") else report.cost,
+            "modified_edges": mods,
+            "iterations": report.iterations,
+            "wall_time_seconds": elapsed,
+            "instance_digest": instance_digest,
         }
         print(json.dumps(payload, sort_keys=True), file=out)
         return
-    print(f"problem {rep.problem}", file=out)
-    print(f"norm {rep.norm}", file=out)
-    print(f"status {rep.status}", file=out)
-    print(f"objective {_fmt_value(rep.objective)}", file=out)
-    print(f"cost {_fmt_value(rep.cost)}", file=out)
-    print(f"modified_edges {','.join(str(e) for e in rep.modified_edges)}", file=out)
-    print(f"iterations {rep.iterations}", file=out)
-    print(f"wall_time_seconds {rep.wall_time_seconds!r}", file=out)
-    print(f"instance_digest {rep.instance_digest}", file=out)
+    print(f"problem {args.problem}", file=out)
+    print(f"norm {args.norm}", file=out)
+    print(f"status {report.status.value}", file=out)
+    print(f"objective {_fmt_value(report.objective)}", file=out)
+    print(f"cost {_fmt_value(report.cost)}", file=out)
+    print(f"modified_edges {','.join(str(e) for e in mods)}", file=out)
+    print(f"iterations {report.iterations}", file=out)
+    print(f"wall_time_seconds {elapsed!r}", file=out)
+    print(f"instance_digest {instance_digest}", file=out)
 
 
 def solve_cmd(args, out=None) -> int:
@@ -141,18 +127,7 @@ def solve_cmd(args, out=None) -> int:
     report = run_solver(args.problem, args.norm, inst)
     elapsed = time.perf_counter() - start
 
-    rep = RunReport(
-        problem=args.problem,
-        norm=args.norm,
-        status=report.status.value,
-        objective=report.objective,
-        cost=report.cost,
-        modified_edges=tuple(sorted(report.modified_edges)),
-        iterations=report.iterations,
-        wall_time_seconds=elapsed,
-        instance_digest=digest(text),
-    )
-    _emit_report(rep, args.json, out)
+    _emit_report(args, report, elapsed, digest(text), out)
     return 2 if report.status is Status.INFEASIBLE else 0
 
 
@@ -180,10 +155,6 @@ def gen_cmd(args, out=None) -> int:
 
 def _close(a, b, tol=REL_TOL) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
-
-def _status_of(report) -> str:
-    return report.status.value
 
 
 def _check_pair(problem: str, norm: str, inst: InstanceFile, trial_changes: int):

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the gates that refuse
+bad solver parameters with them."""
+
+import math
+import numbers
 
 
 class SrdTreeError(Exception):
@@ -49,6 +53,38 @@ class NegativeBudget(SrdTreeError):
 
 class NOutOfRange(SrdTreeError):
     """A cardinality bound lies outside 1..n."""
+
+
+class BadParameter(SrdTreeError):
+    """A budget or demand is not a finite number, or an edge bound not an integer."""
+
+
+def _check_finite(name: str, value) -> None:
+    # bool is an int subclass, and a rational is finite without a float
+    # conversion that could overflow
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (isinstance(value, numbers.Rational) or math.isfinite(value))):
+        raise BadParameter(f"{name} {value!r} is not a finite number")
+
+
+def check_budget(budget) -> None:
+    """Refuse a budget K that is not a finite, nonnegative number."""
+    _check_finite("budget", budget)
+    if budget < 0:
+        raise NegativeBudget(f"budget {budget} is negative")
+
+
+def check_demand(demand) -> None:
+    """Refuse a demand D that is not a finite number."""
+    _check_finite("demand", demand)
+
+
+def check_change_bound(max_changes, n: int) -> None:
+    """Refuse an edge bound N that is not an integer in 1..n."""
+    if isinstance(max_changes, bool) or not isinstance(max_changes, numbers.Integral):
+        raise BadParameter(f"edge bound {max_changes!r} is not an integer")
+    if not 1 <= max_changes <= n:
+        raise NOutOfRange(f"edge bound {max_changes} outside 1..{n}")
 
 
 # ---- reference oracles ------------------------------------------------------

@@ -25,11 +25,10 @@ from bisect import bisect_left
 from itertools import accumulate, compress, islice, repeat
 from operator import ge, lt, mul
 
-from .errors import NegativeBudget, NOutOfRange
+from .errors import check_budget, check_change_bound, check_demand
 from .report import SolveReport, Status
 from .scores import edge_scores
-from .selection import nth_largest
-from .tree import EdgeAttrs, RootedTree, leaf_counts, modified_edges, snap_unchanged, srd
+from .tree import EdgeAttrs, RootedTree, leaf_counts, snap_unchanged, srd
 
 
 def _report(status, weights, cost, attrs, **extra) -> SolveReport:
@@ -37,15 +36,13 @@ def _report(status, weights, cost, attrs, **extra) -> SolveReport:
         return SolveReport(status, None, math.inf, math.inf, frozenset(), **extra)
     if status is Status.ALREADY_SATISFIED:
         return SolveReport(status, weights, 0, 0, frozenset(), **extra)
-    weights = snap_unchanged(weights, attrs)
-    mods = modified_edges(weights, attrs)
+    weights, mods = snap_unchanged(weights, attrs)
     return SolveReport(status, weights, cost, cost, mods, **extra)
 
 
 def _finish_budget(tree, attrs, counts, weights) -> SolveReport:
-    weights = snap_unchanged(weights, attrs)
+    weights, mods = snap_unchanged(weights, attrs)
     objective = sum(counts[e] * weights[e] for e in tree.edge_ids)
-    mods = modified_edges(weights, attrs)
     cost = max((attrs.c[e] * (weights[e] - attrs.w[e]) for e in mods), default=0)
     return SolveReport(Status.FEASIBLE, weights, objective, cost, mods)
 
@@ -66,10 +63,9 @@ def sdipt_inf(tree: RootedTree, attrs: EdgeAttrs, budget) -> SolveReport:
     """Spend at most ``budget`` on the scaled largest raise, maximize the sum.
 
     Each edge is independent: raise it by min(budget / c(e), u(e) - w(e)).
-    Always feasible for a nonnegative budget.
+    Always feasible for a finite nonnegative budget.
     """
-    if budget < 0:
-        raise NegativeBudget(f"budget {budget} is negative")
+    check_budget(budget)
     return _sdipt_core(tree, attrs, budget, leaf_counts(tree))
 
 
@@ -79,19 +75,18 @@ def sdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, budget, max_changes: int) -> 
     The unconstrained raise of one edge never depends on the others, so the
     best set is the max_changes edges with the largest raised gain.  The
     gain of edge e is L(e) times its unconstrained raise; ties fall to the
-    smaller edge id via the selection module.
+    smaller edge id.
     """
-    if budget < 0:
-        raise NegativeBudget(f"budget {budget} is negative")
-    if not 1 <= max_changes <= tree.n:
-        raise NOutOfRange(f"edge bound {max_changes} outside 1..{tree.n}")
+    check_budget(budget)
+    check_change_bound(max_changes, tree.n)
 
     counts = leaf_counts(tree)
     base = _sdipt_core(tree, attrs, budget, counts)
     w = attrs.w
 
-    gains = [(e, counts[e] * (base.weights[e] - w[e])) for e in tree.edge_ids]
-    chosen = set(nth_largest(gains, max_changes).chosen_ids)
+    # ids ascend and the sort is stable, so ties keep the smaller id
+    gain = {e: counts[e] * (base.weights[e] - w[e]) for e in tree.edge_ids}
+    chosen = set(sorted(gain, key=gain.__getitem__, reverse=True)[:max_changes])
 
     weights = {e: base.weights[e] if e in chosen else w[e] for e in tree.edge_ids}
     return _finish_budget(tree, attrs, counts, weights)
@@ -169,13 +164,12 @@ def mcsdipt_inf(tree: RootedTree, attrs: EdgeAttrs, demand) -> SolveReport:
     the optimal weight vector is unique; ``breakpoint`` records the kink
     index k_star so the solution can be reproduced from it.
     """
+    check_demand(demand)
     counts = leaf_counts(tree)
     ids = list(tree.edge_ids)
     status, weights, cost, k_star = _mcsdipt_core(
         ids, counts, attrs.w, attrs.u, attrs.c, demand)
     return _report(status, weights, cost, attrs, breakpoint=k_star)
-
-
 
 
 def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -> SolveReport:
@@ -203,9 +197,8 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
     top() below delta even at the dearest F, that vector is the answer.
     ``breakpoint`` is k and ``iterations`` the number of probes.
     """
-    n = tree.n
-    if not 1 <= max_changes <= n:
-        raise NOutOfRange(f"edge bound {max_changes} outside 1..{n}")
+    check_demand(demand)
+    check_change_bound(max_changes, tree.n)
 
     counts = leaf_counts(tree)
     w, u, c = attrs.w, attrs.u, attrs.c

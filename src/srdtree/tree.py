@@ -213,16 +213,23 @@ def _is_modified(value, base) -> bool:
     return diff != 0
 
 
-def snap_unchanged(weights: dict, attrs: EdgeAttrs) -> dict:
+def snap_unchanged(weights: dict, attrs: EdgeAttrs) -> tuple:
     """Replace sub-threshold raises by the exact starting weight.
 
-    Keeps the report contract honest: an edge outside modified_edges
-    carries a weight bit-identical to its input weight.
+    Returns the snapped vector and the frozenset of edges that still
+    differ, so an edge outside that set carries a weight bit-identical to
+    its input weight.
     """
-    return {
-        eid: value if _is_modified(value, attrs.w[eid]) else attrs.w[eid]
-        for eid, value in weights.items()
-    }
+    snapped = {}
+    changed = []
+    for eid, value in weights.items():
+        base = attrs.w[eid]
+        if _is_modified(value, base):
+            snapped[eid] = value
+            changed.append(eid)
+        else:
+            snapped[eid] = base
+    return snapped, frozenset(changed)
 
 
 def modified_edges(weights: dict, attrs: EdgeAttrs) -> frozenset:

@@ -1,10 +1,36 @@
-"""Shared hypothesis strategies for random rooted trees and edge attributes."""
+"""Shared hypothesis strategies for random rooted trees and edge attributes,
+plus a fixed star builder and its tie cases."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
 from srdtree import EdgeAttrs, build_tree
+
+
+def star(costs, slacks, num=float):
+    """Leaves t1..tn hang off the root s; w = 0, u = slack, c = cost, as num."""
+    n = len(costs)
+    edges = [(i, "s", f"t{i}") for i in range(1, n + 1)]
+    attrs = EdgeAttrs(
+        w={i: num(0) for i in range(1, n + 1)},
+        u={i: num(slacks[i - 1]) for i in range(1, n + 1)},
+        c={i: num(costs[i - 1]) for i in range(1, n + 1)},
+    )
+    return build_tree(edges, attrs), attrs
+
+
+# (slacks, cap, chosen) for a star whose gains equal its slacks: the cap
+# largest gains are chosen, ties going to the smaller id
+STAR_TIES = [
+    pytest.param((2, 4, 1), 1, {2}, id="distinct"),
+    pytest.param((4, 4, 2), 1, {1}, id="tie-at-threshold"),
+    pytest.param((1, 3, 3, 3), 2, {2, 3}, id="tie-at-threshold-of-three"),
+    pytest.param((5, 3, 3, 1), 3, {1, 2, 3}, id="tie-below-threshold"),
+    pytest.param((1.5, 0.5), 2, {1, 2}, id="take-all"),
+]
+NUMS = [pytest.param(float, id="float"), pytest.param(Fraction, id="Fraction")]
 
 
 @st.composite

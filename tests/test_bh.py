@@ -5,11 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from srdtree import (
-    EdgeAttrs,
+    GenConfig,
     NegativeBudget,
     NOutOfRange,
     Status,
-    build_tree,
+    generate,
     mcsdipt_bh,
     mcsdiptc_bh,
     sdipt_bh,
@@ -17,18 +17,9 @@ from srdtree import (
     srd,
 )
 
-from strategies import tree_and_attrs
+from srdtree.instance import SHAPES
 
-
-def star(costs, slacks):
-    n = len(costs)
-    edges = [(i, "s", f"t{i}") for i in range(1, n + 1)]
-    attrs = EdgeAttrs(
-        w={i: 0.0 for i in range(1, n + 1)},
-        u={i: float(slacks[i - 1]) for i in range(1, n + 1)},
-        c={i: float(costs[i - 1]) for i in range(1, n + 1)},
-    )
-    return build_tree(edges, attrs), attrs
+from strategies import NUMS, STAR_TIES, star, tree_and_attrs
 
 
 class TestBudgetMax:
@@ -64,9 +55,11 @@ class TestBudgetMax:
     def test_upgrades_exactly_the_affordable_slack(self, ta, budget):
         tree, attrs = ta
         rep = sdipt_bh(tree, attrs, budget)
+        # modified means a raise above the 1e-12 slack (HAMMING_EPS); the
+        # sum w + 1e-12 would round onto u = 1.000000000001 at w = 1.0
         expected = frozenset(
             e for e in tree.edge_ids
-            if attrs.c[e] <= budget and attrs.u[e] > attrs.w[e] + 1e-12
+            if attrs.c[e] <= budget and attrs.u[e] - attrs.w[e] > 1e-12
         )
         assert rep.modified_edges == expected
         assert rep.objective == pytest.approx(srd(tree, rep.weights), rel=1e-12)
@@ -91,6 +84,15 @@ class TestBudgetMaxCapped:
         tree, attrs = broom
         with pytest.raises(NOutOfRange):
             sdiptc_bh(tree, attrs, 1.0, bad_n)
+
+    @pytest.mark.parametrize("num", NUMS)
+    @pytest.mark.parametrize("slacks, cap, chosen", STAR_TIES)
+    def test_ties_go_to_smaller_ids(self, num, slacks, cap, chosen):
+        tree, attrs = star(costs=[1] * len(slacks), slacks=slacks, num=num)
+        rep = sdiptc_bh(tree, attrs, num(1), cap)
+        assert rep.modified_edges == frozenset(chosen)
+        assert rep.objective == sum(num(slacks[e - 1]) for e in chosen)
+        assert type(rep.objective) is num
 
     @given(tree_and_attrs(), st.floats(min_value=0.0, max_value=25.0), st.data())
     def test_change_count_respected(self, ta, budget, data):
@@ -194,6 +196,18 @@ class TestDemandMinCapped:
         with pytest.raises(NOutOfRange):
             mcsdiptc_bh(tree, attrs, 9.0, bad_n)
 
+    @pytest.mark.parametrize("num", NUMS)
+    def test_tie_inside_the_prefix_goes_to_the_smaller_id(self, num):
+        # cost order 3, 2, 1, 4; edges 1..3 tie on gain 2, and the smallest
+        # id wins although edge 1 comes last of them in cost order
+        tree, attrs = star(costs=(3, 2, 1, 4), slacks=(2, 2, 2, 5), num=num)
+        rep = mcsdiptc_bh(tree, attrs, num(7), 2)
+        assert rep.status is Status.FEASIBLE
+        assert rep.modified_edges == frozenset({1, 4})
+        assert rep.cost == 4 and type(rep.cost) is num
+        assert rep.breakpoint == 4
+        assert srd(tree, rep.weights) == 7
+
     @given(tree_and_attrs(), st.floats(min_value=0.0, max_value=1.0), st.data())
     def test_solution_is_valid(self, ta, frac, data):
         tree, attrs = ta
@@ -220,3 +234,38 @@ class TestDemandMinCapped:
         capped = mcsdiptc_bh(tree, attrs, demand, cap)
         if capped.status is Status.FEASIBLE and free.status is Status.FEASIBLE:
             assert capped.cost >= free.cost
+
+
+class TestExactReachableBoundary:
+    """Demand D = srd(tree, u) with N = n: all of u reaches it exactly."""
+
+    @staticmethod
+    def check(tree, attrs, rep, demand, slack=0.0):
+        if demand <= srd(tree, attrs.w):
+            assert rep.status is Status.ALREADY_SATISFIED
+            return
+        assert rep.status is Status.FEASIBLE
+        for e in tree.edge_ids:
+            assert attrs.w[e] <= rep.weights[e] <= attrs.u[e]
+        assert srd(tree, rep.weights) >= demand - slack
+        assert all(attrs.c[e] <= rep.cost for e in rep.modified_edges)
+
+    @given(tree_and_attrs(max_edges=30))
+    def test_hypothesis_trees(self, ta):
+        # raises below the 1e-12 modification slack snap back to w
+        tree, attrs = ta
+        demand = srd(tree, attrs.u)
+        slack = 1e-9 * max(1.0, demand)
+        self.check(tree, attrs, mcsdipt_bh(tree, attrs, demand), demand, slack)
+        self.check(tree, attrs, mcsdiptc_bh(tree, attrs, demand, tree.n), demand, slack)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_generated_trees(self, shape):
+        for edges in range(2, 122):
+            inst = generate(GenConfig(node_count=edges + 1, seed=edges, shape=shape))
+            tree, attrs = inst.tree, inst.attrs
+            demand = srd(tree, attrs.u)
+            for rep in (mcsdipt_bh(tree, attrs, demand),
+                        mcsdiptc_bh(tree, attrs, demand, tree.n)):
+                self.check(tree, attrs, rep, demand)
+                assert rep.cost == max(attrs.c[e] for e in rep.modified_edges)

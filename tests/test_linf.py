@@ -22,7 +22,7 @@ from srdtree import (
 from srdtree.instance import SHAPES
 
 from certificates import capped_demand_faults, capped_top
-from strategies import tree_and_attrs
+from strategies import NUMS, STAR_TIES, star, tree_and_attrs
 
 
 def broom_exact():
@@ -122,6 +122,16 @@ class TestBudgetMaxCapped:
         tree, attrs = broom
         with pytest.raises(NegativeBudget):
             sdiptc_inf(tree, attrs, -1.0, 1)
+
+    @pytest.mark.parametrize("num", NUMS)
+    @pytest.mark.parametrize("slacks, cap, chosen", STAR_TIES)
+    def test_ties_go_to_smaller_ids(self, num, slacks, cap, chosen):
+        # unit costs and a budget past every slack: each gain is the slack
+        tree, attrs = star(costs=[1] * len(slacks), slacks=slacks, num=num)
+        rep = sdiptc_inf(tree, attrs, num(5), cap)
+        assert rep.modified_edges == frozenset(chosen)
+        assert rep.objective == sum(num(slacks[e - 1]) for e in chosen)
+        assert type(rep.objective) is num
 
     @given(tree_and_attrs(), st.floats(min_value=0.0, max_value=30.0), st.data())
     def test_change_count_respected(self, ta, budget, data):
