@@ -21,11 +21,22 @@ from itertools import islice
 from .errors import check_budget, check_change_bound, check_demand
 from .report import SolveReport, Status
 from .scores import edge_scores
-from .tree import EdgeAttrs, RootedTree, leaf_counts, snap_unchanged, srd
+from .tree import EdgeAttrs, RootedTree, snap_unchanged, srd
 
 
-def _finish_max(tree, attrs, counts, weights) -> SolveReport:
-    weights, mods = snap_unchanged(weights, attrs)
+def _to_u(attrs, raised) -> tuple:
+    """w with the given edges raised to u, and the edges that changed."""
+    weights = dict(attrs.w)
+    u = attrs.u
+    for e in raised:
+        weights[e] = u[e]
+    return weights, snap_unchanged(weights, attrs, raised)
+
+
+def _finish_max(tree, attrs, raised) -> SolveReport:
+    """Raise the given edges to u and report the distance sum reached."""
+    weights, mods = _to_u(attrs, raised)
+    counts = tree.counts
     objective = sum(counts[e] * weights[e] for e in tree.edge_ids)
     cost = max((attrs.c[e] for e in mods), default=0)
     return SolveReport(Status.FEASIBLE, weights, objective, cost, mods)
@@ -34,10 +45,8 @@ def _finish_max(tree, attrs, counts, weights) -> SolveReport:
 def sdipt_bh(tree: RootedTree, attrs: EdgeAttrs, budget) -> SolveReport:
     """Raise every edge whose cost fits under ``budget`` to its bound."""
     check_budget(budget)
-    counts = leaf_counts(tree)
-    w, u, c = attrs.w, attrs.u, attrs.c
-    weights = {e: u[e] if c[e] <= budget else w[e] for e in tree.edge_ids}
-    return _finish_max(tree, attrs, counts, weights)
+    c = attrs.c
+    return _finish_max(tree, attrs, [e for e in tree.edge_ids if c[e] <= budget])
 
 
 def sdiptc_bh(tree: RootedTree, attrs: EdgeAttrs, budget, max_changes: int) -> SolveReport:
@@ -50,35 +59,30 @@ def sdiptc_bh(tree: RootedTree, attrs: EdgeAttrs, budget, max_changes: int) -> S
     check_budget(budget)
     check_change_bound(max_changes, tree.n)
 
-    w, u, c = attrs.w, attrs.u, attrs.c
+    counts, w, u, c = tree.counts, attrs.w, attrs.u, attrs.c
     affordable = [e for e in tree.edge_ids if c[e] <= budget]
     if len(affordable) <= max_changes:
-        return sdipt_bh(tree, attrs, budget)
+        return _finish_max(tree, attrs, affordable)
 
-    counts = leaf_counts(tree)
     # affordable ids ascend and the sort is stable, so ties keep the smaller id
     gain = {e: counts[e] * (u[e] - w[e]) for e in affordable}
-    chosen = set(sorted(gain, key=gain.__getitem__, reverse=True)[:max_changes])
-    weights = {e: u[e] if e in chosen else w[e] for e in tree.edge_ids}
-    return _finish_max(tree, attrs, counts, weights)
+    chosen = sorted(gain, key=gain.__getitem__, reverse=True)[:max_changes]
+    return _finish_max(tree, attrs, chosen)
 
 
 def _raise_to_u(attrs, edges, breakpoint) -> SolveReport:
     """Raise the given edges to u; the cost is the dearest edge that moves."""
     w, u = attrs.w, attrs.u
     raised = [e for e in edges if u[e] > w[e]]
-    weights = dict(w)
-    for e in raised:
-        weights[e] = u[e]
-    weights, mods = snap_unchanged(weights, attrs)
+    weights, mods = _to_u(attrs, raised)
     cost = max(attrs.c[e] for e in raised)
     return SolveReport(Status.FEASIBLE, weights, cost, cost, mods,
                        breakpoint=breakpoint)
 
 
-def _mcsdipt_bh_core(tree, attrs, demand, counts, alpha=None) -> SolveReport:
-    """mcsdipt_bh on given leaf counts; alpha is the cost order if known."""
-    w, u, c = attrs.w, attrs.u, attrs.c
+def _mcsdipt_bh_core(tree, attrs, demand, alpha=None) -> SolveReport:
+    """mcsdipt_bh without the parameter check; alpha is the cost order if known."""
+    counts, w, u, c = tree.counts, attrs.w, attrs.u, attrs.c
     ids = tree.edge_ids
 
     w_total = sum(counts[e] * w[e] for e in ids)
@@ -90,7 +94,8 @@ def _mcsdipt_bh_core(tree, attrs, demand, counts, alpha=None) -> SolveReport:
 
     delta = demand - w_total
     if alpha is None:
-        alpha = sorted(ids, key=lambda e: (c[e], e))
+        # ids ascend and the sort is stable, so ties keep ascending ids
+        alpha = sorted(ids, key=c.__getitem__)
     prefix_gain = [0] * (len(alpha) + 1)
     for i, e in enumerate(alpha, start=1):
         prefix_gain[i] = prefix_gain[i - 1] + counts[e] * (u[e] - w[e])
@@ -112,7 +117,7 @@ def mcsdipt_bh(tree: RootedTree, attrs: EdgeAttrs, demand) -> SolveReport:
     still falls short.
     """
     check_demand(demand)
-    return _mcsdipt_bh_core(tree, attrs, demand, leaf_counts(tree))
+    return _mcsdipt_bh_core(tree, attrs, demand)
 
 
 def mcsdiptc_bh(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -> SolveReport:
@@ -133,23 +138,22 @@ def mcsdiptc_bh(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) ->
     check_demand(demand)
     check_change_bound(max_changes, tree.n)
 
-    counts = leaf_counts(tree)
-    w, u = attrs.w, attrs.u
-    ids = list(tree.edge_ids)
+    counts, w, u = tree.counts, attrs.w, attrs.u
+    ids = tree.edge_ids
     w_total = sum(counts[e] * w[e] for e in ids)
     if demand <= w_total:
         return SolveReport(Status.ALREADY_SATISFIED, dict(w), 0, 0, frozenset())
 
-    table = edge_scores(tree, attrs, counts)
+    table = edge_scores(tree, attrs)
     S, by_S = table.S, table.sorted_by_S
     full = dict(w)
     for e in by_S[:max_changes]:
         full[e] = u[e]
-    if srd(tree, full, counts) < demand:
+    if srd(tree, full) < demand:
         return SolveReport(Status.INFEASIBLE, None, math.inf, math.inf, frozenset())
     delta = demand - w_total
 
-    base = _mcsdipt_bh_core(tree, attrs, demand, counts, table.sorted_by_c)
+    base = _mcsdipt_bh_core(tree, attrs, demand, table.sorted_by_c)
     if len(base.modified_edges) <= max_changes:
         return base
 

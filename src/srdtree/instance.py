@@ -46,7 +46,7 @@ from .errors import (
     InstanceSyntaxError,
     MissingHeader,
 )
-from .tree import EdgeAttrs, RootedTree, build_tree, leaf_counts
+from .tree import EdgeAttrs, RootedTree, build_tree
 
 SHAPES = ("uniform-random-parent", "caterpillar", "star", "binary")
 
@@ -302,7 +302,7 @@ def generate(config: GenConfig) -> InstanceFile:
 
     attrs = EdgeAttrs(w, u, c)
     tree = build_tree(edges, attrs)
-    counts = leaf_counts(tree)
+    counts = tree.counts
     w_total = sum(counts[e] * w[e] for e in tree.edge_ids)
     u_total = sum(counts[e] * u[e] for e in tree.edge_ids)
     top_raise = max(c[e] * (u[e] - w[e]) for e in tree.edge_ids)

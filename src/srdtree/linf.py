@@ -21,34 +21,46 @@ cap or tolerance.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
+from fractions import Fraction
 from itertools import accumulate, compress, islice, repeat
 from operator import ge, lt, mul
 
 from .errors import check_budget, check_change_bound, check_demand
 from .report import SolveReport, Status
 from .scores import edge_scores
-from .tree import EdgeAttrs, RootedTree, leaf_counts, snap_unchanged, srd
+from .tree import EdgeAttrs, RootedTree, snap_unchanged, srd
+
+_FLOAT_MAX = sys.float_info.max
 
 
-def _report(status, weights, cost, attrs, **extra) -> SolveReport:
+def _report(status, weights, cost, attrs, raised=None, **extra) -> SolveReport:
+    """Report a demand solve; ``raised`` limits the snap to the edges moved."""
     if status is Status.INFEASIBLE:
         return SolveReport(status, None, math.inf, math.inf, frozenset(), **extra)
     if status is Status.ALREADY_SATISFIED:
         return SolveReport(status, weights, 0, 0, frozenset(), **extra)
-    weights, mods = snap_unchanged(weights, attrs)
+    mods = snap_unchanged(weights, attrs, raised)
     return SolveReport(status, weights, cost, cost, mods, **extra)
 
 
-def _finish_budget(tree, attrs, counts, weights) -> SolveReport:
-    weights, mods = snap_unchanged(weights, attrs)
+def _finish_budget(tree, attrs, weights, raised=None) -> SolveReport:
+    mods = snap_unchanged(weights, attrs, raised)
+    counts = tree.counts
     objective = sum(counts[e] * weights[e] for e in tree.edge_ids)
     cost = max((attrs.c[e] * (weights[e] - attrs.w[e]) for e in mods), default=0)
     return SolveReport(Status.FEASIBLE, weights, objective, cost, mods)
 
 
-def _sdipt_core(tree, attrs, budget, counts) -> SolveReport:
+def _raise_all(tree, attrs, budget) -> dict:
+    """Raise every edge by min(budget / c(e), u(e) - w(e)), not yet snapped."""
     w, u, c = attrs.w, attrs.u, attrs.c
+    if not isinstance(budget, float) and budget > _FLOAT_MAX:
+        # an int or Fraction this large cannot be divided by a float cost;
+        # exact quotients compare with the gaps just as well
+        budget = Fraction(budget)
+        c = {e: Fraction(v) for e, v in c.items()}
     weights = {}
     for e in tree.edge_ids:
         step = budget / c[e]
@@ -56,17 +68,18 @@ def _sdipt_core(tree, attrs, budget, counts) -> SolveReport:
         if gap < step:
             step = gap
         weights[e] = w[e] + step if step > 0 else w[e]
-    return _finish_budget(tree, attrs, counts, weights)
+    return weights
 
 
 def sdipt_inf(tree: RootedTree, attrs: EdgeAttrs, budget) -> SolveReport:
     """Spend at most ``budget`` on the scaled largest raise, maximize the sum.
 
     Each edge is independent: raise it by min(budget / c(e), u(e) - w(e)).
-    Always feasible for a finite nonnegative budget.
+    Always feasible for a finite nonnegative budget; a budget above every
+    full-raise cost raises every edge to u.
     """
     check_budget(budget)
-    return _sdipt_core(tree, attrs, budget, leaf_counts(tree))
+    return _finish_budget(tree, attrs, _raise_all(tree, attrs, budget))
 
 
 def sdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, budget, max_changes: int) -> SolveReport:
@@ -75,24 +88,27 @@ def sdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, budget, max_changes: int) -> 
     The unconstrained raise of one edge never depends on the others, so the
     best set is the max_changes edges with the largest raised gain.  The
     gain of edge e is L(e) times its unconstrained raise; ties fall to the
-    smaller edge id.
+    smaller edge id.  Edges the unconstrained raise leaves alone gain 0,
+    so only the raised ones are ranked.
     """
     check_budget(budget)
     check_change_bound(max_changes, tree.n)
 
-    counts = leaf_counts(tree)
-    base = _sdipt_core(tree, attrs, budget, counts)
-    w = attrs.w
+    counts, w = tree.counts, attrs.w
+    base = _raise_all(tree, attrs, budget)
+    moved = sorted(snap_unchanged(base, attrs))
 
     # ids ascend and the sort is stable, so ties keep the smaller id
-    gain = {e: counts[e] * (base.weights[e] - w[e]) for e in tree.edge_ids}
-    chosen = set(sorted(gain, key=gain.__getitem__, reverse=True)[:max_changes])
+    gain = {e: counts[e] * (base[e] - w[e]) for e in moved}
+    chosen = sorted(gain, key=gain.__getitem__, reverse=True)[:max_changes]
 
-    weights = {e: base.weights[e] if e in chosen else w[e] for e in tree.edge_ids}
-    return _finish_budget(tree, attrs, counts, weights)
+    weights = dict(w)
+    for e in chosen:
+        weights[e] = base[e]
+    return _finish_budget(tree, attrs, weights, chosen)
 
 
-def _mcsdipt_core(ids, counts, w, u, c, demand):
+def _mcsdipt_core(tree, attrs, demand):
     """Cheapest raise of the distance sum to ``demand`` inside the bounds.
 
     Returns (status, weights, cost, k_star).  Spending C raises the sum by
@@ -107,9 +123,14 @@ def _mcsdipt_core(ids, counts, w, u, c, demand):
     the demanded increase, and the optimum interpolates between kink
     k_star and the next one.  Edges at or below the level F(order[k_star])
     saturate at u; every other edge is raised to the same scaled cost.
+    A demand equal to the reach of all of u, summed as ``srd`` sums it, is
+    answered with u itself at the dearest saturation cost, so the witness
+    reaches it exactly.
     """
-    w_total = sum(counts[e] * w[e] for e in ids)
-    u_total = sum(counts[e] * u[e] for e in ids)
+    counts, w, u, c = tree.counts, attrs.w, attrs.u, attrs.c
+    ids = tree.edge_ids
+    w_total = srd(tree, w)
+    u_total = srd(tree, u)
     if demand <= w_total:
         return Status.ALREADY_SATISFIED, dict(w), 0, None
     if u_total < demand:
@@ -117,7 +138,8 @@ def _mcsdipt_core(ids, counts, w, u, c, demand):
 
     delta = demand - w_total
     F = {e: c[e] * (u[e] - w[e]) for e in ids}
-    order = sorted(ids, key=lambda e: (F[e], e))
+    # ids ascend and the sort is stable, so ties keep ascending ids
+    order = sorted(ids, key=F.__getitem__)
     n = len(order)
 
     ratio = [counts[e] / c[e] for e in order]
@@ -135,11 +157,12 @@ def _mcsdipt_core(ids, counts, w, u, c, demand):
     # covered is non-decreasing and covered[n] = u_total - w_total >= delta,
     # so the bisection lands inside the table unless float dust leaves
     # covered[n] a hair below the delta that u_total cleared; all of u
-    # reaches the demand then, at the dearest saturation cost.
-    idx = bisect_left(covered, delta)
-    if idx > n:
-        return Status.FEASIBLE, dict(u), F[order[-1]], n
-    k_star = idx - 1
+    # reaches the demand then, at the dearest saturation cost, and so it
+    # does when the demand is exactly u_total, which interpolation could
+    # miss by an ulp.
+    k_star = bisect_left(covered, delta) - 1
+    if k_star == n or demand == u_total:
+        return Status.FEASIBLE, dict(u), F[order[-1]], k_star
 
     level = F[order[k_star - 1]] if k_star >= 1 else 0
     rem = delta - covered[k_star]
@@ -165,10 +188,7 @@ def mcsdipt_inf(tree: RootedTree, attrs: EdgeAttrs, demand) -> SolveReport:
     index k_star so the solution can be reproduced from it.
     """
     check_demand(demand)
-    counts = leaf_counts(tree)
-    ids = list(tree.edge_ids)
-    status, weights, cost, k_star = _mcsdipt_core(
-        ids, counts, attrs.w, attrs.u, attrs.c, demand)
+    status, weights, cost, k_star = _mcsdipt_core(tree, attrs, demand)
     return _report(status, weights, cost, attrs, breakpoint=k_star)
 
 
@@ -193,27 +213,28 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
 
     Only +, -, *, / and comparisons are used, so exact rationals stay
     exact.  The demand is reachable exactly when ``srd`` of the vector
-    that raises the N largest S to u reaches it; should float dust keep
-    top() below delta even at the dearest F, that vector is the answer.
+    that raises the N largest S to u reaches it.  That vector is the answer
+    when float dust keeps top() below delta even at the dearest F, and when
+    the demand is exactly ``srd`` of all of u, so the witness reaches it.
     ``breakpoint`` is k and ``iterations`` the number of probes.
     """
     check_demand(demand)
     check_change_bound(max_changes, tree.n)
 
-    counts = leaf_counts(tree)
     w, u, c = attrs.w, attrs.u, attrs.c
-    w_total = sum(counts[e] * w[e] for e in tree.edge_ids)
+    w_total = srd(tree, w)
     if demand <= w_total:
         return _report(Status.ALREADY_SATISFIED, dict(w), 0, attrs)
 
-    table = edge_scores(tree, attrs, counts)
+    table = edge_scores(tree, attrs)
     F, S, nu = table.F, table.S, table.nu
     by_S, by_nu = table.sorted_by_S, table.sorted_by_nu
     N = max_changes
     full = dict(w)
     for e in by_S[:N]:
         full[e] = u[e]
-    if srd(tree, full, counts) < demand:
+    reach = srd(tree, full)
+    if reach < demand:
         return _report(Status.INFEASIBLE, None, math.inf, attrs)
     delta = demand - w_total
 
@@ -244,9 +265,11 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
         else:
             lo = mid + 1
     k = lo
-    if k == len(levels):
+    # past the dearest F, or a demand of exactly all of u's reach, which the
+    # closed form could miss by an ulp: the full raise reaches it
+    if k == len(levels) or reach == demand == srd(tree, u):
         cost = max(F[e] for e in by_S[:N])
-        return _report(Status.FEASIBLE, full, cost, attrs,
+        return _report(Status.FEASIBLE, full, cost, attrs, by_S[:N],
                        iterations=probes, breakpoint=k)
 
     # Inside the bracket: j of the N come from the saturated constants A,
@@ -269,5 +292,5 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
     weights = dict(w)
     for e in chosen:
         weights[e] = u[e] if F[e] <= cost else min(u[e], w[e] + cost / c[e])
-    return _report(Status.FEASIBLE, weights, cost, attrs,
+    return _report(Status.FEASIBLE, weights, cost, attrs, chosen,
                    iterations=probes, breakpoint=k)

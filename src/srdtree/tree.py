@@ -9,12 +9,13 @@ nothing below ever leaves +, -, *, / and comparisons.
 The target quantity throughout the package is the sum of root-leaf
 distances: the total, over all leaves, of the weight of the path from the
 root to that leaf.  Each edge contributes its weight once per leaf below
-it, which gives the linear form used by ``srd``.
+it, which gives the linear form used by ``srd``.  Those leaf counts depend
+on the tree alone, so ``build_tree`` computes them once and stores them on
+the frozen tree; every solver reads them from there.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -51,16 +52,18 @@ class RootedTree:
     """An immutable rooted tree.
 
     edges keeps the construction order as (edge_id, parent, child) records;
-    parent_of, child_of_edge and edge_of_child are the lookup views the
-    solvers and the file layer need.
+    parent_of (child node to parent node) and edge_of_child (child node to
+    edge id) are the lookup views the file layer and the tests need, and
+    counts maps each edge id to the number of leaves below it, the L(e) of
+    the linear form every solver reads.  Treat the dicts as read-only.
     """
 
     root: str
     edges: tuple
     parent_of: dict
     leaves: frozenset
-    child_of_edge: dict
     edge_of_child: dict
+    counts: dict
 
     @property
     def n(self) -> int:
@@ -117,18 +120,19 @@ def build_tree(edge_list, attrs: EdgeAttrs) -> RootedTree:
         raise MultipleRoots(f"nodes without a parent: {sorted(parentless)}")
     (root,) = parentless
 
-    children = {}
-    for child, parent in parent_of.items():
-        children.setdefault(parent, []).append(child)
+    # out_edges[node] lists the ids of the edges leaving node
+    out_edges = {}
+    for eid, parent, _ in edge_list:
+        out_edges.setdefault(parent, []).append(eid)
 
-    reached = {root}
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        for child in children.get(node, ()):
-            reached.add(child)
-            queue.append(child)
-    if len(reached) != len(nodes):
+    # breadth-first order of the edges reachable from the root; the list
+    # grows while it is walked, and every node has one parent, so no edge
+    # is met twice
+    order = list(out_edges.get(root, ()))
+    for eid in order:
+        order.extend(out_edges.get(child_of_edge[eid], ()))
+    if len(order) != n:
+        reached = {root}.union(map(child_of_edge.__getitem__, order))
         stray = next(iter(nodes - reached))
         seen = set()
         node = stray
@@ -139,7 +143,21 @@ def build_tree(edge_list, attrs: EdgeAttrs) -> RootedTree:
             node = parent_of[node]
         raise DisconnectedNode(f"node {stray!r} does not reach the root")
 
-    leaves = frozenset(nodes - children.keys())
+    leaves = frozenset(nodes - out_edges.keys())
+
+    # leaves below each edge, bottom-up: a child edge comes after its parent
+    # edge in BFS order, so walking the order backwards finishes every edge
+    # before the one above it; index 0 collects the root's edges
+    up = [0] * (n + 1)
+    for eid, parent, _ in edge_list:
+        up[eid] = edge_of_child.get(parent, 0)
+    below = [0] * (n + 1)
+    for eid in reversed(order):
+        if not below[eid]:
+            below[eid] = 1
+        below[up[eid]] += below[eid]
+    # keyed by the caller's own id objects, so the dict adds no int per edge
+    counts = {eid: below[eid] for eid, _, _ in edge_list}
 
     for eid in range(1, n + 1):
         if eid not in attrs.w or eid not in attrs.u or eid not in attrs.c:
@@ -157,47 +175,28 @@ def build_tree(edge_list, attrs: EdgeAttrs) -> RootedTree:
         edges=tuple((eid, parent, child) for eid, parent, child in edge_list),
         parent_of=parent_of,
         leaves=leaves,
-        child_of_edge=child_of_edge,
         edge_of_child=edge_of_child,
+        counts=counts,
     )
 
 
 def leaf_counts(tree: RootedTree) -> dict:
     """Number of leaves below each edge, keyed by edge id.
 
-    Computed bottom-up in one pass; a leaf edge counts 1 and an inner edge
-    sums its child edges.  Sums over all edges of count * weight equal the
-    sum of root-leaf path weights, which is the identity the solvers use.
+    A leaf edge counts 1 and an inner edge sums its child edges.  Sums over
+    all edges of count * weight equal the sum of root-leaf path weights,
+    which is the identity the solvers use.  ``build_tree`` computes the
+    counts once; this returns the tree's own dict, so do not modify it.
     """
-    children = {}
-    for child, parent in tree.parent_of.items():
-        children.setdefault(parent, []).append(child)
-
-    order = []
-    queue = deque([tree.root])
-    while queue:
-        node = queue.popleft()
-        order.append(node)
-        queue.extend(children.get(node, ()))
-
-    below = {}
-    for node in reversed(order):
-        kids = children.get(node)
-        if not kids:
-            below[node] = 1
-        else:
-            below[node] = sum(below[k] for k in kids)
-
-    return {eid: below[child] for eid, child in tree.child_of_edge.items()}
+    return tree.counts
 
 
-def srd(tree: RootedTree, weights: dict, counts: dict | None = None):
+def srd(tree: RootedTree, weights: dict):
     """Sum of root-leaf distances of the tree under the given weight vector.
 
-    Pass precomputed leaf counts to skip that walk.
+    Sums count * weight in ascending edge-id order.
     """
-    if counts is None:
-        counts = leaf_counts(tree)
+    counts = tree.counts
     total = 0
     for eid in tree.edge_ids:
         if eid not in weights:
@@ -206,30 +205,25 @@ def srd(tree: RootedTree, weights: dict, counts: dict | None = None):
     return total
 
 
-def _is_modified(value, base) -> bool:
-    diff = value - base
-    if isinstance(diff, float):
-        return abs(diff) > HAMMING_EPS
-    return diff != 0
+def snap_unchanged(weights: dict, attrs: EdgeAttrs, raised=None) -> frozenset:
+    """Put back the exact starting weight wherever a raise is below the slack.
 
-
-def snap_unchanged(weights: dict, attrs: EdgeAttrs) -> tuple:
-    """Replace sub-threshold raises by the exact starting weight.
-
-    Returns the snapped vector and the frozenset of edges that still
-    differ, so an edge outside that set carries a weight bit-identical to
-    its input weight.
+    Works in place on ``weights``, a vector the caller owns, and returns
+    the frozenset of edges that still differ, so an edge outside that set
+    carries a weight bit-identical to its input weight.  ``raised`` names
+    the only edges whose weight may differ from w (the rest must hold w
+    already); by default every edge of ``weights`` is checked.
     """
-    snapped = {}
+    w = attrs.w
     changed = []
-    for eid, value in weights.items():
-        base = attrs.w[eid]
-        if _is_modified(value, base):
-            snapped[eid] = value
+    for eid in weights if raised is None else raised:
+        base = w[eid]
+        diff = weights[eid] - base
+        if abs(diff) > HAMMING_EPS if isinstance(diff, float) else diff != 0:
             changed.append(eid)
         else:
-            snapped[eid] = base
-    return snapped, frozenset(changed)
+            weights[eid] = base
+    return frozenset(changed)
 
 
 def modified_edges(weights: dict, attrs: EdgeAttrs) -> frozenset:
@@ -238,13 +232,10 @@ def modified_edges(weights: dict, attrs: EdgeAttrs) -> frozenset:
     Float entries use the absolute HAMMING_EPS slack; exact entries compare
     exactly.  Missing entries raise MissingEdgeWeight.
     """
-    out = []
-    for eid, base in attrs.w.items():
+    for eid in attrs.w:
         if eid not in weights:
             raise MissingEdgeWeight(f"weight vector lacks edge {eid}")
-        if _is_modified(weights[eid], base):
-            out.append(eid)
-    return frozenset(out)
+    return snap_unchanged({eid: weights[eid] for eid in attrs.w}, attrs)
 
 
 def hamming_count(weights: dict, attrs: EdgeAttrs) -> int:

@@ -13,10 +13,9 @@ COVER_RTOL = 1e-10   # slack, relative to the demand, for "covers delta"
 COST_STEP = 1e-9     # a cost this much lower must no longer cover delta
 
 
-def capped_top(tree, attrs, level, max_changes, counts=None):
+def capped_top(tree, attrs, level, max_changes):
     """Sum of the max_changes largest capped gains at ``level``."""
-    if counts is None:
-        counts = leaf_counts(tree)
+    counts = leaf_counts(tree)
     w, u, c = attrs.w, attrs.u, attrs.c
     gains = sorted((min(counts[e] * (u[e] - w[e]), counts[e] / c[e] * level)
                     for e in tree.edge_ids), reverse=True)
@@ -28,7 +27,7 @@ def capped_demand_faults(tree, attrs, demand, max_changes, rep):
     """Reasons a mcsdiptc_inf report is wrong; an empty list certifies it."""
     w, u = attrs.w, attrs.u
     counts = leaf_counts(tree)
-    delta = demand - srd(tree, w, counts)
+    delta = demand - srd(tree, w)
     slack = COVER_RTOL * max(1.0, abs(demand))
     if rep.status is Status.ALREADY_SATISFIED:
         return [] if delta <= 0 else [f"demand unmet by {delta!r}"]
@@ -39,15 +38,15 @@ def capped_demand_faults(tree, attrs, demand, max_changes, rep):
     full = dict(w)
     full.update((e, u[e]) for e in best[:max_changes])
     if rep.status is Status.INFEASIBLE:
-        if srd(tree, full, counts) >= demand:
+        if srd(tree, full) >= demand:
             return ["called infeasible, yet the top full raises reach the demand"]
         return []
 
     out = []
     cost = rep.cost
-    if capped_top(tree, attrs, cost, max_changes, counts) < delta - slack:
+    if capped_top(tree, attrs, cost, max_changes) < delta - slack:
         out.append(f"cost {cost!r} does not cover delta {delta!r}")
-    if capped_top(tree, attrs, cost * (1 - COST_STEP), max_changes, counts) >= delta:
+    if capped_top(tree, attrs, cost * (1 - COST_STEP), max_changes) >= delta:
         out.append(f"a cost below {cost!r} still covers delta {delta!r}")
     x = rep.weights
     changed = [e for e in tree.edge_ids if x[e] != w[e]]
@@ -61,7 +60,7 @@ def capped_demand_faults(tree, attrs, demand, max_changes, rep):
     price = max((attrs.c[e] * (x[e] - w[e]) for e in changed), default=0)
     if price > cost + COST_STEP * max(1.0, cost):
         out.append(f"witness price {price!r} exceeds the cost {cost!r}")
-    reached = srd(tree, x, counts)
+    reached = srd(tree, x)
     if reached < demand - slack:
         out.append(f"witness reaches {reached!r} < demand {demand!r}")
     return out

@@ -70,6 +70,25 @@ class TestBudgetMax:
         with pytest.raises(NegativeBudget):
             sdipt_inf(tree, attrs, -0.5)
 
+    @pytest.mark.parametrize("budget", [10**400, Fraction(10**400)], ids=["int", "Fraction"])
+    def test_budget_beyond_the_float_range(self, budget):
+        # such a budget cannot be divided by a float cost; it saturates every
+        # edge, as any float budget above every full-raise cost does
+        inst = generate(GenConfig(node_count=80, seed=4))
+        tree, attrs = inst.tree, inst.attrs
+        assert sdipt_inf(tree, attrs, budget) == sdipt_inf(tree, attrs, 1e300)
+        assert sdiptc_inf(tree, attrs, budget, 7) == sdiptc_inf(tree, attrs, 1e300, 7)
+        rep = sdipt_inf(tree, attrs, budget)
+        assert rep.modified_edges == frozenset(tree.edge_ids)
+        assert rep.cost == max(attrs.c[e] * (attrs.u[e] - attrs.w[e]) for e in tree.edge_ids)
+
+    @pytest.mark.parametrize("budget", [10**400, Fraction(10**400)], ids=["int", "Fraction"])
+    def test_budget_beyond_the_float_range_exact(self, budget):
+        tree, attrs = broom_exact()
+        rep = sdipt_inf(tree, attrs, budget)
+        assert rep.weights == attrs.u
+        assert rep.cost == 4
+
     def test_exact_arithmetic(self):
         tree, attrs = broom_exact()
         rep = sdipt_inf(tree, attrs, Fraction(1, 3))
@@ -326,30 +345,37 @@ class TestExactReachableBoundary:
     """Demand D = srd(tree, u) with N = n: all of u reaches it exactly."""
 
     @staticmethod
-    def check(tree, attrs, rep):
-        if srd(tree, attrs.u) <= srd(tree, attrs.w):
+    def check(tree, attrs, rep, demand, slack=0.0):
+        if demand <= srd(tree, attrs.w):
             assert rep.status is Status.ALREADY_SATISFIED
             return
         assert rep.status is Status.FEASIBLE
         for e in tree.edge_ids:
             assert attrs.w[e] <= rep.weights[e] <= attrs.u[e]
+        assert srd(tree, rep.weights) >= demand - slack
+        assert rep.cost == max(attrs.c[e] * (attrs.u[e] - attrs.w[e]) for e in tree.edge_ids)
 
     @given(tree_and_attrs(max_edges=30))
     def test_uncapped(self, ta):
+        # raises below the 1e-12 modification slack snap back to w
         tree, attrs = ta
-        self.check(tree, attrs, mcsdipt_inf(tree, attrs, srd(tree, attrs.u)))
+        demand = srd(tree, attrs.u)
+        slack = 1e-9 * max(1.0, demand)
+        self.check(tree, attrs, mcsdipt_inf(tree, attrs, demand), demand, slack)
 
     @given(tree_and_attrs(max_edges=30))
     def test_capped(self, ta):
         tree, attrs = ta
-        rep = mcsdiptc_inf(tree, attrs, srd(tree, attrs.u), tree.n)
-        self.check(tree, attrs, rep)
+        demand = srd(tree, attrs.u)
+        slack = 1e-9 * max(1.0, demand)
+        rep = mcsdiptc_inf(tree, attrs, demand, tree.n)
+        self.check(tree, attrs, rep, demand, slack)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_generated_trees(self, shape):
-        for edges in range(2, 65):
+        for edges in range(2, 122):
             inst = generate(GenConfig(node_count=edges + 1, seed=edges, shape=shape))
             tree, attrs = inst.tree, inst.attrs
             demand = srd(tree, attrs.u)
-            self.check(tree, attrs, mcsdipt_inf(tree, attrs, demand))
-            self.check(tree, attrs, mcsdiptc_inf(tree, attrs, demand, tree.n))
+            self.check(tree, attrs, mcsdipt_inf(tree, attrs, demand), demand)
+            self.check(tree, attrs, mcsdiptc_inf(tree, attrs, demand, tree.n), demand)

@@ -10,15 +10,26 @@ from srdtree import (
     DuplicateChild,
     DuplicateEdgeId,
     EdgeAttrs,
+    GenConfig,
     InvalidEdgeId,
     MissingEdgeWeight,
     MultipleRoots,
     build_tree,
+    generate,
     hamming_count,
     leaf_counts,
+    mcsdipt_bh,
+    mcsdipt_inf,
+    mcsdiptc_bh,
+    mcsdiptc_inf,
     modified_edges,
+    sdipt_bh,
+    sdipt_inf,
+    sdiptc_bh,
+    sdiptc_inf,
     srd,
 )
+from srdtree.instance import SHAPES
 
 from strategies import tree_and_attrs
 
@@ -123,6 +134,51 @@ class TestLeafCounts:
                     leaves_below += 1
                 stack.extend(kids)
             assert counts[eid] == leaves_below
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("edges", [10, 100, 1000, 10000])
+    def test_matches_path_walk(self, shape, edges):
+        # every root-leaf path adds one to each edge on it
+        inst = generate(GenConfig(node_count=edges + 1, seed=edges, shape=shape))
+        tree = inst.tree
+        walked = dict.fromkeys(tree.edge_ids, 0)
+        for leaf in tree.leaves:
+            node = leaf
+            while node != tree.root:
+                walked[tree.edge_of_child[node]] += 1
+                node = tree.parent_of[node]
+        assert tree.counts == walked
+        assert sum(tree.counts[e] for e, parent, _ in tree.edges
+                   if parent == tree.root) == len(tree.leaves)
+
+    def test_stored_once(self, broom):
+        tree, _ = broom
+        assert leaf_counts(tree) is leaf_counts(tree)
+        assert leaf_counts(tree) is tree.counts
+
+    def test_edge_order_does_not_matter(self):
+        # ids need not follow the topology, and edges may come in any order
+        edges = [(3, "a", "x"), (1, "a", "b"), (4, "s", "a"), (2, "b", "y"), (5, "b", "z")]
+        tree = build_tree(edges, unit_attrs(5))
+        assert tree.counts == {1: 2, 2: 1, 3: 1, 4: 3, 5: 1}
+
+    @given(tree_and_attrs(max_edges=12), st.data())
+    def test_solvers_leave_counts_alone(self, ta, data):
+        tree, attrs = ta
+        before = dict(tree.counts)
+        budget = data.draw(st.floats(min_value=0.0, max_value=30.0))
+        demand = srd(tree, attrs.w) + data.draw(st.floats(min_value=-1.0, max_value=200.0))
+        cap = data.draw(st.integers(min_value=1, max_value=tree.n))
+        for solve in (sdipt_inf, sdipt_bh):
+            solve(tree, attrs, budget)
+        for solve in (sdiptc_inf, sdiptc_bh):
+            solve(tree, attrs, budget, cap)
+        for solve in (mcsdipt_inf, mcsdipt_bh):
+            solve(tree, attrs, demand)
+        for solve in (mcsdiptc_inf, mcsdiptc_bh):
+            solve(tree, attrs, demand, cap)
+        assert tree.counts == before
+        assert list(tree.counts) == list(before)
 
 
 class TestSrd:
