@@ -9,155 +9,119 @@ of edges pushed to u.  The four problems mirror the scaled-raise family:
     sdiptc_bh    same, changing at most N edges
     mcsdipt_bh   reach distance sum D with the cheapest dearest edge
     mcsdiptc_bh  reach D while changing at most N edges
+
+Each uncapped problem is its capped twin with N = n, and a capped solver
+works on the top-N gains only when the uncapped answer changes more than
+N edges.  The scores come from ``edge_scores``, and every report from
+``report``.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from bisect import bisect_left
-from itertools import islice
+from itertools import accumulate, islice
 
 from .errors import check_budget, check_change_bound, check_demand
-from .report import SolveReport, Status
+from .report import INFEASIBLE, SolveReport, already_satisfied, budget_report, demand_report
 from .scores import edge_scores
-from .tree import EdgeAttrs, RootedTree, snap_unchanged, srd
-
-
-def _to_u(attrs, raised) -> tuple:
-    """w with the given edges raised to u, and the edges that changed."""
-    weights = dict(attrs.w)
-    u = attrs.u
-    for e in raised:
-        weights[e] = u[e]
-    return weights, snap_unchanged(weights, attrs, raised)
-
-
-def _finish_max(tree, attrs, raised) -> SolveReport:
-    """Raise the given edges to u and report the distance sum reached."""
-    weights, mods = _to_u(attrs, raised)
-    counts = tree.counts
-    objective = sum(counts[e] * weights[e] for e in tree.edge_ids)
-    cost = max((attrs.c[e] for e in mods), default=0)
-    return SolveReport(Status.FEASIBLE, weights, objective, cost, mods)
+from .tree import EdgeAttrs, RootedTree, raised_to_u, snap_unchanged, srd
 
 
 def sdipt_bh(tree: RootedTree, attrs: EdgeAttrs, budget) -> SolveReport:
-    """Raise every edge whose cost fits under ``budget`` to its bound."""
-    check_budget(budget)
-    c = attrs.c
-    return _finish_max(tree, attrs, [e for e in tree.edge_ids if c[e] <= budget])
+    """Raise every edge whose cost fits under ``budget`` to its bound.
+
+    This is ``sdiptc_bh`` with every edge allowed to change.
+    """
+    return sdiptc_bh(tree, attrs, budget, tree.n)
 
 
 def sdiptc_bh(tree: RootedTree, attrs: EdgeAttrs, budget, max_changes: int) -> SolveReport:
     """Budgeted maximization touching at most ``max_changes`` edges.
 
-    If at most max_changes edges are affordable at all, the unconstrained
-    answer already qualifies.  Otherwise keep the max_changes affordable
-    edges with the largest full-raise gains S(e), smaller ids first on ties.
+    If at most max_changes edges are affordable at all, raising them all
+    is the answer.  Otherwise keep the max_changes affordable edges with
+    the largest full-raise gains S(e), smaller ids first on ties.
     """
     check_budget(budget)
     check_change_bound(max_changes, tree.n)
 
-    counts, w, u, c = tree.counts, attrs.w, attrs.u, attrs.c
-    affordable = [e for e in tree.edge_ids if c[e] <= budget]
-    if len(affordable) <= max_changes:
-        return _finish_max(tree, attrs, affordable)
-
-    # affordable ids ascend and the sort is stable, so ties keep the smaller id
-    gain = {e: counts[e] * (u[e] - w[e]) for e in affordable}
-    chosen = sorted(gain, key=gain.__getitem__, reverse=True)[:max_changes]
-    return _finish_max(tree, attrs, chosen)
+    c = attrs.c
+    chosen = [e for e in tree.counts if c[e] <= budget]
+    if len(chosen) > max_changes:
+        # the ids ascend and the sort is stable, so ties keep the smaller id
+        S = edge_scores(tree, attrs).S
+        chosen = sorted(chosen, key=S.__getitem__, reverse=True)[:max_changes]
+    weights = raised_to_u(attrs, chosen)
+    mods = snap_unchanged(weights, attrs, chosen)
+    return budget_report(tree, weights, mods, max((c[e] for e in mods), default=0))
 
 
 def _raise_to_u(attrs, edges, breakpoint) -> SolveReport:
     """Raise the given edges to u; the cost is the dearest edge that moves."""
     w, u = attrs.w, attrs.u
     raised = [e for e in edges if u[e] > w[e]]
-    weights, mods = _to_u(attrs, raised)
+    weights = raised_to_u(attrs, raised)
     cost = max(attrs.c[e] for e in raised)
-    return SolveReport(Status.FEASIBLE, weights, cost, cost, mods,
-                       breakpoint=breakpoint)
-
-
-def _mcsdipt_bh_core(tree, attrs, demand, alpha=None) -> SolveReport:
-    """mcsdipt_bh without the parameter check; alpha is the cost order if known."""
-    counts, w, u, c = tree.counts, attrs.w, attrs.u, attrs.c
-    ids = tree.edge_ids
-
-    w_total = sum(counts[e] * w[e] for e in ids)
-    u_total = sum(counts[e] * u[e] for e in ids)
-    if u_total < demand:
-        return SolveReport(Status.INFEASIBLE, None, math.inf, math.inf, frozenset())
-    if w_total >= demand:
-        return SolveReport(Status.ALREADY_SATISFIED, dict(w), 0, 0, frozenset())
-
-    delta = demand - w_total
-    if alpha is None:
-        # ids ascend and the sort is stable, so ties keep ascending ids
-        alpha = sorted(ids, key=c.__getitem__)
-    prefix_gain = [0] * (len(alpha) + 1)
-    for i, e in enumerate(alpha, start=1):
-        prefix_gain[i] = prefix_gain[i - 1] + counts[e] * (u[e] - w[e])
-
-    # the smallest prefix covering delta; should float dust leave the whole
-    # table a hair below the delta that u_total cleared, all of u is the answer
-    take = min(bisect_left(prefix_gain, delta), len(alpha))
-    return _raise_to_u(attrs, alpha[:take], breakpoint=take - 1)
+    return demand_report(weights, snap_unchanged(weights, attrs, raised), cost,
+                         breakpoint=breakpoint)
 
 
 def mcsdipt_bh(tree: RootedTree, attrs: EdgeAttrs, demand) -> SolveReport:
     """Reach distance sum ``demand`` with the cheapest possible dearest edge.
 
-    Any price ceiling admits exactly the edges at or below it, so walk the
-    edges by ascending cost and stop at the first prefix whose total gain
-    covers the gap.  The reported cost is the cost of the dearest edge of
-    that prefix that moves; zero-gain edges in the prefix are left
-    untouched.  ``breakpoint`` is the largest prefix length whose gain
-    still falls short.
+    This is ``mcsdiptc_bh`` with every edge allowed to change: the
+    shortest cost-ordered prefix whose gain covers the gap.
     """
-    check_demand(demand)
-    return _mcsdipt_bh_core(tree, attrs, demand)
+    return mcsdiptc_bh(tree, attrs, demand, tree.n)
 
 
 def mcsdiptc_bh(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -> SolveReport:
     """Reach ``demand`` changing at most ``max_changes`` edges.
 
-    Infeasible exactly when ``srd`` of the vector that raises the
-    max_changes largest full-raise gains to u falls short of the demand.
-    When the unconstrained cost-ordered answer already changes few enough
-    edges it is passed through unchanged.  Otherwise the answer is the
-    shortest cost-ordered prefix whose best max_changes gains cover the
-    gap: the prefix length is found by bisection on that monotone quantity
-    (tabulated with one running min-heap sweep), the edge set is the top
-    gains inside the prefix with ties to smaller ids, and the cost is the
-    dearest edge that moves: the last prefix edge, which always belongs to
-    the set.  Should float dust keep the table below the gap, the prefix is
-    every edge.
+    Any price ceiling admits exactly the edges at or below it, so without
+    the edge bound the answer walks the edges by ascending cost and stops
+    at the first prefix whose total gain covers the gap; zero-gain edges
+    in the prefix are left untouched, and the cost is the dearest edge of
+    the prefix that moves.  ``breakpoint`` is then the largest prefix
+    length whose gain still falls short.  Should float dust leave the
+    whole table a hair below the gap that ``srd`` of all of u cleared, the
+    prefix is every edge.
+
+    When that answer changes more than max_changes edges, the demand is
+    infeasible exactly when ``srd`` of the vector that raises the
+    max_changes largest full-raise gains to u falls short of it.
+    Otherwise the answer is the shortest cost-ordered prefix whose best
+    max_changes gains cover the gap: the prefix length is found by
+    bisection on that monotone quantity (tabulated with one running
+    min-heap sweep), the edge set is the top gains inside the prefix with
+    ties to smaller ids, and the cost is the dearest edge that moves: the
+    last prefix edge, which always belongs to the set.  ``breakpoint`` is
+    the prefix length.  Should float dust keep the table below the gap,
+    the prefix is every edge.
     """
     check_demand(demand)
     check_change_bound(max_changes, tree.n)
 
-    counts, w, u = tree.counts, attrs.w, attrs.u
-    ids = tree.edge_ids
-    w_total = sum(counts[e] * w[e] for e in ids)
+    w_total = srd(tree, attrs.w)
     if demand <= w_total:
-        return SolveReport(Status.ALREADY_SATISFIED, dict(w), 0, 0, frozenset())
-
-    table = edge_scores(tree, attrs)
-    S, by_S = table.S, table.sorted_by_S
-    full = dict(w)
-    for e in by_S[:max_changes]:
-        full[e] = u[e]
-    if srd(tree, full) < demand:
-        return SolveReport(Status.INFEASIBLE, None, math.inf, math.inf, frozenset())
+        return already_satisfied(attrs)
+    if srd(tree, attrs.u) < demand:
+        return INFEASIBLE
     delta = demand - w_total
 
-    base = _mcsdipt_bh_core(tree, attrs, demand, table.sorted_by_c)
+    table = edge_scores(tree, attrs)
+    S, alpha = table.S, table.sorted_by_c
+    prefix_gain = list(accumulate(map(S.__getitem__, alpha), initial=0))
+    take = min(bisect_left(prefix_gain, delta), len(alpha))
+    base = _raise_to_u(attrs, alpha[:take], breakpoint=take - 1)
     if len(base.modified_edges) <= max_changes:
         return base
 
-    alpha = table.sorted_by_c
+    by_S = table.sorted_by_S
+    if srd(tree, raised_to_u(attrs, by_S[:max_changes])) < demand:
+        return INFEASIBLE
+
     # capped[i] = sum of the max_changes largest S among the first N + i
     # prefix edges; non-decreasing in i
     heap = []

@@ -31,7 +31,7 @@ from .instance import (
     serialize,
 )
 from .report import SolveReport, Status
-from .tree import leaf_counts, srd
+from .tree import srd
 
 PROBLEMS = ("sdipt", "sdiptc", "mcsdipt", "mcsdiptc")
 NORMS = ("linf", "bh")
@@ -160,9 +160,8 @@ def _close(a, b, tol=REL_TOL) -> bool:
 def _check_pair(problem: str, norm: str, inst: InstanceFile, trial_changes: int):
     """Solver-vs-oracle comparison for one instance.  Returns (ok, note)."""
     tree, attrs, params = inst.tree, inst.attrs, inst.params
-    counts = leaf_counts(tree)
-    w_total = sum(counts[e] * attrs.w[e] for e in tree.edge_ids)
-    u_total = sum(counts[e] * attrs.u[e] for e in tree.edge_ids)
+    w_total = srd(tree, attrs.w)
+    u_total = srd(tree, attrs.u)
 
     if norm == "linf":
         if problem == "sdipt":

@@ -46,7 +46,8 @@ from .errors import (
     InstanceSyntaxError,
     MissingHeader,
 )
-from .tree import EdgeAttrs, RootedTree, build_tree
+from .scores import edge_scores
+from .tree import EdgeAttrs, RootedTree, build_tree, srd
 
 SHAPES = ("uniform-random-parent", "caterpillar", "star", "binary")
 
@@ -302,10 +303,9 @@ def generate(config: GenConfig) -> InstanceFile:
 
     attrs = EdgeAttrs(w, u, c)
     tree = build_tree(edges, attrs)
-    counts = tree.counts
-    w_total = sum(counts[e] * w[e] for e in tree.edge_ids)
-    u_total = sum(counts[e] * u[e] for e in tree.edge_ids)
-    top_raise = max(c[e] * (u[e] - w[e]) for e in tree.edge_ids)
+    w_total = srd(tree, w)
+    u_total = srd(tree, u)
+    top_raise = max(edge_scores(tree, attrs).F.values())
 
     budget = top_raise * (1.0 - rng.next_float())
     demand = w_total + rng.next_float() * (u_total - w_total)

@@ -8,49 +8,35 @@ Four problems share it:
     mcsdipt_inf   reach distance sum D as cheaply as possible
     mcsdiptc_inf  reach D cheaply while changing at most N edges
 
-The budget problems separate per edge and close in linear time.  The
-demand problems are parametric in the cost level C: at level C an edge
-gains at most the capped amount min(S(e), nu(e) * C), which never falls
-as C rises, so the optimum is the least C whose gains (all of them, or
-the N largest) cover the demanded increase.  Both demand solvers bracket
-that C between two consecutive saturation costs F(e) by bisection and
-solve the linear piece inside the bracket in closed form, with no loop,
-cap or tolerance.
+The budget problems separate per edge: sdipt_inf is sdiptc_inf with
+every edge allowed to change, and that solver ranks the raised edges only
+when the raise moves more than N of them.  The demand problems are
+parametric in the cost level C: at level C an edge gains at most the
+capped amount min(S(e), nu(e) * C), which never falls as C rises, so the
+optimum is the least C whose gains (all of them, or the N largest) cover
+the demanded increase.  Both demand solvers bracket that C between two
+consecutive saturation costs F(e) by bisection and solve the linear piece
+inside the bracket in closed form, with no loop, cap or tolerance.
+mcsdipt_inf keeps a closed form of its own: as mcsdiptc_inf at N = n it
+would rank the gains once per bisection probe.  The scores F, S and nu
+come from ``edge_scores``, and every report from ``report``.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from bisect import bisect_left
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, compress, islice, repeat
-from operator import ge, lt, mul
+from operator import add, ge, lt, mul
 
 from .errors import check_budget, check_change_bound, check_demand
-from .report import SolveReport, Status
+from .report import INFEASIBLE, SolveReport, already_satisfied, budget_report, demand_report
 from .scores import edge_scores
-from .tree import EdgeAttrs, RootedTree, snap_unchanged, srd
+from .tree import EdgeAttrs, RootedTree, raised_to_u, snap_unchanged, srd
 
 _FLOAT_MAX = sys.float_info.max
-
-
-def _report(status, weights, cost, attrs, raised=None, **extra) -> SolveReport:
-    """Report a demand solve; ``raised`` limits the snap to the edges moved."""
-    if status is Status.INFEASIBLE:
-        return SolveReport(status, None, math.inf, math.inf, frozenset(), **extra)
-    if status is Status.ALREADY_SATISFIED:
-        return SolveReport(status, weights, 0, 0, frozenset(), **extra)
-    mods = snap_unchanged(weights, attrs, raised)
-    return SolveReport(status, weights, cost, cost, mods, **extra)
-
-
-def _finish_budget(tree, attrs, weights, raised=None) -> SolveReport:
-    mods = snap_unchanged(weights, attrs, raised)
-    counts = tree.counts
-    objective = sum(counts[e] * weights[e] for e in tree.edge_ids)
-    cost = max((attrs.c[e] * (weights[e] - attrs.w[e]) for e in mods), default=0)
-    return SolveReport(Status.FEASIBLE, weights, objective, cost, mods)
 
 
 def _raise_all(tree, attrs, budget) -> dict:
@@ -62,7 +48,7 @@ def _raise_all(tree, attrs, budget) -> dict:
         budget = Fraction(budget)
         c = {e: Fraction(v) for e, v in c.items()}
     weights = {}
-    for e in tree.edge_ids:
+    for e in tree.counts:
         step = budget / c[e]
         gap = u[e] - w[e]
         if gap < step:
@@ -76,43 +62,42 @@ def sdipt_inf(tree: RootedTree, attrs: EdgeAttrs, budget) -> SolveReport:
 
     Each edge is independent: raise it by min(budget / c(e), u(e) - w(e)).
     Always feasible for a finite nonnegative budget; a budget above every
-    full-raise cost raises every edge to u.
+    full-raise cost raises every edge to u.  This is ``sdiptc_inf`` with
+    every edge allowed to change.
     """
-    check_budget(budget)
-    return _finish_budget(tree, attrs, _raise_all(tree, attrs, budget))
+    return sdiptc_inf(tree, attrs, budget, tree.n)
 
 
 def sdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, budget, max_changes: int) -> SolveReport:
     """Budgeted maximization that may change at most ``max_changes`` edges.
 
-    The unconstrained raise of one edge never depends on the others, so the
-    best set is the max_changes edges with the largest raised gain.  The
-    gain of edge e is L(e) times its unconstrained raise; ties fall to the
-    smaller edge id.  Edges the unconstrained raise leaves alone gain 0,
-    so only the raised ones are ranked.
+    The unconstrained raise of one edge never depends on the others, so
+    when it moves more than max_changes edges the best set is the
+    max_changes edges with the largest raised gain.  The gain of edge e is
+    L(e) times its unconstrained raise; ties fall to the smaller edge id.
     """
     check_budget(budget)
     check_change_bound(max_changes, tree.n)
 
-    counts, w = tree.counts, attrs.w
-    base = _raise_all(tree, attrs, budget)
-    moved = sorted(snap_unchanged(base, attrs))
+    w, c = attrs.w, attrs.c
+    weights = _raise_all(tree, attrs, budget)
+    mods = snap_unchanged(weights, attrs)
+    if len(mods) > max_changes:
+        counts, raised = tree.counts, weights
+        # ids ascend and the sort is stable, so ties keep the smaller id
+        gain = {e: counts[e] * (raised[e] - w[e]) for e in sorted(mods)}
+        mods = frozenset(sorted(gain, key=gain.__getitem__, reverse=True)[:max_changes])
+        weights = dict(w)
+        for e in mods:
+            weights[e] = raised[e]
+    cost = max((c[e] * (weights[e] - w[e]) for e in mods), default=0)
+    return budget_report(tree, weights, mods, cost)
 
-    # ids ascend and the sort is stable, so ties keep the smaller id
-    gain = {e: counts[e] * (base[e] - w[e]) for e in moved}
-    chosen = sorted(gain, key=gain.__getitem__, reverse=True)[:max_changes]
 
-    weights = dict(w)
-    for e in chosen:
-        weights[e] = base[e]
-    return _finish_budget(tree, attrs, weights, chosen)
+def mcsdipt_inf(tree: RootedTree, attrs: EdgeAttrs, demand) -> SolveReport:
+    """Raise the distance sum to ``demand`` at the least scaled raise cost.
 
-
-def _mcsdipt_core(tree, attrs, demand):
-    """Cheapest raise of the distance sum to ``demand`` inside the bounds.
-
-    Returns (status, weights, cost, k_star).  Spending C raises the sum by
-    the concave piecewise-linear function
+    Spending C raises the sum by the concave piecewise-linear function
 
         covered(C) = sum over e of L(e) * min(u(e) - w(e), C / c(e)),
 
@@ -123,36 +108,37 @@ def _mcsdipt_core(tree, attrs, demand):
     the demanded increase, and the optimum interpolates between kink
     k_star and the next one.  Edges at or below the level F(order[k_star])
     saturate at u; every other edge is raised to the same scaled cost.
-    A demand equal to the reach of all of u, summed as ``srd`` sums it, is
-    answered with u itself at the dearest saturation cost, so the witness
-    reaches it exactly.
+
+    The achieved sum equals the demand exactly whenever work is needed, and
+    the optimal weight vector is unique; ``breakpoint`` records k_star so
+    the solution can be reproduced from it.  A demand equal to the reach of
+    all of u, summed as ``srd`` sums it, is answered with u itself at the
+    dearest saturation cost, so the witness reaches it exactly.
     """
-    counts, w, u, c = tree.counts, attrs.w, attrs.u, attrs.c
-    ids = tree.edge_ids
+    check_demand(demand)
+
+    w, u, c = attrs.w, attrs.u, attrs.c
     w_total = srd(tree, w)
     u_total = srd(tree, u)
     if demand <= w_total:
-        return Status.ALREADY_SATISFIED, dict(w), 0, None
+        return already_satisfied(attrs)
     if u_total < demand:
-        return Status.INFEASIBLE, None, math.inf, None
+        return INFEASIBLE
 
     delta = demand - w_total
-    F = {e: c[e] * (u[e] - w[e]) for e in ids}
-    # ids ascend and the sort is stable, so ties keep ascending ids
-    order = sorted(ids, key=F.__getitem__)
+    table = edge_scores(tree, attrs)
+    order = table.sorted_by_F
+    F_sorted = list(map(table.F.__getitem__, order))
     n = len(order)
 
-    ratio = [counts[e] / c[e] for e in order]
-    tail = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        tail[i] = tail[i + 1] + ratio[i]
-
-    covered = [0] * (n + 1)
-    acc = 0
-    for k in range(1, n + 1):
-        e = order[k - 1]
-        acc = acc + counts[e] * (u[e] - w[e])
-        covered[k] = acc + F[e] * tail[k]
+    # tail[k]: nu summed over order[k:], the slope of covered() past kink k
+    tail = list(accumulate(map(table.nu.__getitem__, reversed(order)), initial=0))
+    tail.reverse()
+    # covered[k]: the first k edges saturated, the rest at the level F[k-1]
+    saturated = accumulate(map(table.S.__getitem__, order), initial=0)
+    next(saturated)
+    covered = [0]
+    covered += map(add, saturated, map(mul, F_sorted, islice(tail, 1, None)))
 
     # covered is non-decreasing and covered[n] = u_total - w_total >= delta,
     # so the bisection lands inside the table unless float dust leaves
@@ -162,9 +148,11 @@ def _mcsdipt_core(tree, attrs, demand):
     # miss by an ulp.
     k_star = bisect_left(covered, delta) - 1
     if k_star == n or demand == u_total:
-        return Status.FEASIBLE, dict(u), F[order[-1]], k_star
+        weights = dict(u)
+        return demand_report(weights, snap_unchanged(weights, attrs), F_sorted[-1],
+                             breakpoint=k_star)
 
-    level = F[order[k_star - 1]] if k_star >= 1 else 0
+    level = F_sorted[k_star - 1] if k_star >= 1 else 0
     rem = delta - covered[k_star]
     rs = tail[k_star]
     cost = level + rem / rs
@@ -177,19 +165,8 @@ def _mcsdipt_core(tree, attrs, demand):
         e = order[i]
         # rounding may overshoot u by a few ulps on the edge due next
         weights[e] = min(u[e], w[e] + level / c[e] + rem / (c[e] * rs))
-    return Status.FEASIBLE, weights, cost, k_star
-
-
-def mcsdipt_inf(tree: RootedTree, attrs: EdgeAttrs, demand) -> SolveReport:
-    """Raise the distance sum to ``demand`` at the least scaled raise cost.
-
-    The achieved sum equals the demand exactly whenever work is needed, and
-    the optimal weight vector is unique; ``breakpoint`` records the kink
-    index k_star so the solution can be reproduced from it.
-    """
-    check_demand(demand)
-    status, weights, cost, k_star = _mcsdipt_core(tree, attrs, demand)
-    return _report(status, weights, cost, attrs, breakpoint=k_star)
+    return demand_report(weights, snap_unchanged(weights, attrs), cost,
+                         breakpoint=k_star)
 
 
 def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -> SolveReport:
@@ -224,18 +201,16 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
     w, u, c = attrs.w, attrs.u, attrs.c
     w_total = srd(tree, w)
     if demand <= w_total:
-        return _report(Status.ALREADY_SATISFIED, dict(w), 0, attrs)
+        return already_satisfied(attrs)
 
     table = edge_scores(tree, attrs)
     F, S, nu = table.F, table.S, table.nu
     by_S, by_nu = table.sorted_by_S, table.sorted_by_nu
     N = max_changes
-    full = dict(w)
-    for e in by_S[:N]:
-        full[e] = u[e]
+    full = raised_to_u(attrs, by_S[:N])
     reach = srd(tree, full)
     if reach < demand:
-        return _report(Status.INFEASIBLE, None, math.inf, attrs)
+        return INFEASIBLE
     delta = demand - w_total
 
     F_by_S = [F[e] for e in by_S]
@@ -253,7 +228,8 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
         gains = [*map(S.__getitem__, sat),
                  *map(mul, map(nu.__getitem__, free), repeat(level))]
         gains.sort(reverse=True)
-        return sum(gains[:N])
+        # one addition at a time, as the tables below and srd add
+        return reduce(add, gains[:N], 0)
 
     levels = list(dict.fromkeys(map(F.__getitem__, table.sorted_by_F)))
     lo, hi, probes = 0, len(levels), 0
@@ -269,8 +245,8 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
     # closed form could miss by an ulp: the full raise reaches it
     if k == len(levels) or reach == demand == srd(tree, u):
         cost = max(F[e] for e in by_S[:N])
-        return _report(Status.FEASIBLE, full, cost, attrs, by_S[:N],
-                       iterations=probes, breakpoint=k)
+        return demand_report(full, snap_unchanged(full, attrs, by_S[:N]), cost,
+                             probes, k)
 
     # Inside the bracket: j of the N come from the saturated constants A,
     # the other N - j from the unsaturated lines B * C; j = N is a
@@ -292,5 +268,5 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
     weights = dict(w)
     for e in chosen:
         weights[e] = u[e] if F[e] <= cost else min(u[e], w[e] + cost / c[e])
-    return _report(Status.FEASIBLE, weights, cost, attrs, chosen,
-                   iterations=probes, breakpoint=k)
+    return demand_report(weights, snap_unchanged(weights, attrs, chosen), cost,
+                         probes, k)

@@ -1,9 +1,20 @@
-"""Result container shared by all eight solvers."""
+"""The report every solver hands back, and the only place one is built.
+
+A solve ends in one of four ways: the demand is out of reach
+(``INFEASIBLE``), the starting weights already meet it
+(``already_satisfied``), a budget solve reports the distance sum it
+reached (``budget_report``), or a demand solve reports the cost it paid
+(``demand_report``).  The solvers snap the edges they raised with
+``snap_unchanged`` and pass the set of changed edges in.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
+
+from .tree import srd
 
 
 class Status(str, Enum):
@@ -43,3 +54,21 @@ class SolveReport:
     modified_edges: frozenset
     iterations: int = 0
     breakpoint: int | None = None
+
+
+INFEASIBLE = SolveReport(Status.INFEASIBLE, None, math.inf, math.inf, frozenset())
+
+
+def already_satisfied(attrs) -> SolveReport:
+    """The starting weights, which meet the demand at no cost."""
+    return SolveReport(Status.ALREADY_SATISFIED, dict(attrs.w), 0, 0, frozenset())
+
+
+def budget_report(tree, weights, mods, cost) -> SolveReport:
+    """A budget solve: its objective is the distance sum ``weights`` reaches."""
+    return SolveReport(Status.FEASIBLE, weights, srd(tree, weights), cost, mods)
+
+
+def demand_report(weights, mods, cost, iterations=0, breakpoint=None) -> SolveReport:
+    """A demand solve: its objective is the cost it paid."""
+    return SolveReport(Status.FEASIBLE, weights, cost, cost, mods, iterations, breakpoint)

@@ -6,59 +6,68 @@ For an edge e with leaf count L(e) and attributes (w, u, c):
     S(e)  = L(e) * (u(e) - w(e))    distance gained by raising e to u
     nu(e) = L(e) / c(e)             distance gained per unit of cost
 
-so S(e) = nu(e) * F(e).  Every sort breaks ties by ascending edge id.
+so S(e) = nu(e) * F(e).  These are the only places the three are written
+out; every solver reads them from one table.  Every sort breaks ties by
+ascending edge id.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .tree import EdgeAttrs, RootedTree
 
 
-@dataclass(frozen=True)
 class EdgeScoreTable:
-    """Score dicts plus the edge-id orders used by the searches.
+    """The scores of one tree and attribute set, each built on first read.
 
-    F, S and nu are keyed by edge id in ascending order, and c is the cost
-    dict the table was built from.  Each order is sorted on first read:
-    sorted_by_F: F ascending.  sorted_by_S: S descending.
-    sorted_by_nu: nu descending.  sorted_by_c: c ascending.
+    F, S and nu are dicts keyed by edge id in ascending order.  The orders
+    are tuples of edge ids: sorted_by_F: F ascending.  sorted_by_S: S
+    descending.  sorted_by_nu: nu descending.  sorted_by_c: c ascending.
+    A solver reads only the fields it needs, and pays only for those.
     """
 
-    F: dict
-    S: dict
-    nu: dict
-    c: dict
+    def __init__(self, tree: RootedTree, attrs: EdgeAttrs):
+        self._counts = tree.counts
+        self._attrs = attrs
 
-    # the ids of F ascend and sorted() is stable, also with reverse=True,
-    # so ties keep ascending ids without a tuple key per edge
+    # The dicts and sorts walk the keys of tree.counts: ascending ids, as
+    # one set of int objects shared with every dict they build.  sorted()
+    # is stable, also with reverse=True, so ties keep ascending ids
+    # without a tuple key per edge.
+
+    @cached_property
+    def F(self) -> dict:
+        w, u, c = self._attrs.w, self._attrs.u, self._attrs.c
+        return {e: c[e] * (u[e] - w[e]) for e in self._counts}
+
+    @cached_property
+    def S(self) -> dict:
+        w, u = self._attrs.w, self._attrs.u
+        return {e: L * (u[e] - w[e]) for e, L in self._counts.items()}
+
+    @cached_property
+    def nu(self) -> dict:
+        c = self._attrs.c
+        return {e: L / c[e] for e, L in self._counts.items()}
 
     @cached_property
     def sorted_by_F(self) -> tuple:
-        return tuple(sorted(self.F, key=self.F.__getitem__))
+        return tuple(sorted(self._counts, key=self.F.__getitem__))
 
     @cached_property
     def sorted_by_S(self) -> tuple:
-        return tuple(sorted(self.F, key=self.S.__getitem__, reverse=True))
+        return tuple(sorted(self._counts, key=self.S.__getitem__, reverse=True))
 
     @cached_property
     def sorted_by_nu(self) -> tuple:
-        return tuple(sorted(self.F, key=self.nu.__getitem__, reverse=True))
+        return tuple(sorted(self._counts, key=self.nu.__getitem__, reverse=True))
 
     @cached_property
     def sorted_by_c(self) -> tuple:
-        return tuple(sorted(self.F, key=self.c.__getitem__))
+        return tuple(sorted(self._counts, key=self._attrs.c.__getitem__))
 
 
 def edge_scores(tree: RootedTree, attrs: EdgeAttrs) -> EdgeScoreTable:
-    """Build the score table from the tree's leaf counts."""
-    counts = tree.counts
-    w, u, c = attrs.w, attrs.u, attrs.c
-    ids = tree.edge_ids
-
-    F = {e: c[e] * (u[e] - w[e]) for e in ids}
-    S = {e: counts[e] * (u[e] - w[e]) for e in ids}
-    nu = {e: counts[e] / c[e] for e in ids}
-    return EdgeScoreTable(F=F, S=S, nu=nu, c=c)
+    """The score table of the tree's leaf counts; nothing is computed yet."""
+    return EdgeScoreTable(tree, attrs)

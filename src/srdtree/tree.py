@@ -51,18 +51,14 @@ class EdgeAttrs:
 class RootedTree:
     """An immutable rooted tree.
 
-    edges keeps the construction order as (edge_id, parent, child) records;
-    parent_of (child node to parent node) and edge_of_child (child node to
-    edge id) are the lookup views the file layer and the tests need, and
-    counts maps each edge id to the number of leaves below it, the L(e) of
-    the linear form every solver reads.  Treat the dicts as read-only.
+    edges keeps the construction order as (edge_id, parent, child) records,
+    from which any node lookup can be rebuilt.  counts maps each edge id,
+    in ascending order, to the number of leaves below it: the L(e) of the
+    linear form every solver reads.  Treat the dict as read-only.
     """
 
     root: str
     edges: tuple
-    parent_of: dict
-    leaves: frozenset
-    edge_of_child: dict
     counts: dict
 
     @property
@@ -143,8 +139,6 @@ def build_tree(edge_list, attrs: EdgeAttrs) -> RootedTree:
             node = parent_of[node]
         raise DisconnectedNode(f"node {stray!r} does not reach the root")
 
-    leaves = frozenset(nodes - out_edges.keys())
-
     # leaves below each edge, bottom-up: a child edge comes after its parent
     # edge in BFS order, so walking the order backwards finishes every edge
     # before the one above it; index 0 collects the root's edges
@@ -156,8 +150,9 @@ def build_tree(edge_list, attrs: EdgeAttrs) -> RootedTree:
         if not below[eid]:
             below[eid] = 1
         below[up[eid]] += below[eid]
-    # keyed by the caller's own id objects, so the dict adds no int per edge
-    counts = {eid: below[eid] for eid, _, _ in edge_list}
+    # keyed by the caller's own id objects, so the dict adds no int per
+    # edge, in ascending order, so a walk over it visits the ids in order
+    counts = {eid: below[eid] for eid in sorted(child_of_edge)}
 
     for eid in range(1, n + 1):
         if eid not in attrs.w or eid not in attrs.u or eid not in attrs.c:
@@ -173,9 +168,6 @@ def build_tree(edge_list, attrs: EdgeAttrs) -> RootedTree:
     return RootedTree(
         root=root,
         edges=tuple((eid, parent, child) for eid, parent, child in edge_list),
-        parent_of=parent_of,
-        leaves=leaves,
-        edge_of_child=edge_of_child,
         counts=counts,
     )
 
@@ -194,15 +186,26 @@ def leaf_counts(tree: RootedTree) -> dict:
 def srd(tree: RootedTree, weights: dict):
     """Sum of root-leaf distances of the tree under the given weight vector.
 
-    Sums count * weight in ascending edge-id order.
+    Sums count * weight in ascending edge-id order, one plain addition at
+    a time, so every total of the package rounds alike on any Python (the
+    built-in ``sum`` of floats compensates its rounding since 3.12).
     """
-    counts = tree.counts
     total = 0
-    for eid in tree.edge_ids:
-        if eid not in weights:
-            raise MissingEdgeWeight(f"weight vector lacks edge {eid}")
-        total += counts[eid] * weights[eid]
+    try:
+        for eid, count in tree.counts.items():
+            total += count * weights[eid]
+    except KeyError:
+        raise MissingEdgeWeight(f"weight vector lacks edge {eid}") from None
     return total
+
+
+def raised_to_u(attrs: EdgeAttrs, edges) -> dict:
+    """A copy of w with the given edges raised to their bound u."""
+    weights = dict(attrs.w)
+    u = attrs.u
+    for eid in edges:
+        weights[eid] = u[eid]
+    return weights
 
 
 def snap_unchanged(weights: dict, attrs: EdgeAttrs, raised=None) -> frozenset:

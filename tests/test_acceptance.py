@@ -221,12 +221,15 @@ def test_c6_distance_sum_identity(record):
         attrs = EdgeAttrs(w=w, u=dict(w), c={i: 1 for i in w})
         tree = build_tree(edges, attrs)
 
+        # up[i]: the edge above edge i (0 at the root), from the parents
+        # drawn above; a leaf edge is above no other
+        up = [0] + [0 if p == "s" else int(p[1:]) for p in parents]
         by_paths = 0
-        for leaf in tree.leaves:
-            node = leaf
-            while node != tree.root:
-                by_paths += w[tree.edge_of_child[node]]
-                node = tree.parent_of[node]
+        for leaf in set(range(1, edges_n + 1)) - set(up):
+            e = leaf
+            while e:
+                by_paths += w[e]
+                e = up[e]
         if srd(tree, w) != by_paths:
             failures += 1
     ok = failures == 0

@@ -1,3 +1,5 @@
+import builtins
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from srdtree import (
     serialize,
     srd,
 )
+from srdtree.cli import SOLVERS, run_solver
 from srdtree.instance import SHAPES, _format_number
 
 MINIMAL = "tif v1\nn 1\nroot s\nedge 1 s a 1 2 1\n"
@@ -187,6 +190,50 @@ class TestSplitMix64:
            st.integers(min_value=1, max_value=10**6))
     def test_int_range(self, seed, m):
         assert 0 <= SplitMix64(seed).next_int(m) < m
+
+
+_builtin_sum = builtins.sum
+
+
+def compensated_sum(iterable, start=0):
+    """The built-in sum as Python 3.12 and later compute it for floats.
+
+    Those versions carry a Neumaier compensation term through a sum of
+    floats; ints and Fractions still add plainly.
+    """
+    items = list(iterable)
+    if not (isinstance(start, (int, float))
+            and all(type(x) in (int, float) for x in items)
+            and any(type(x) is float for x in items)):
+        return _builtin_sum(items, start)
+    total, comp = float(start), 0.0
+    for x in map(float, items):
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+class TestSummation:
+    """Every sum of L * x goes through srd, whatever ``sum`` does."""
+
+    def test_generated_bytes_ignore_it(self, monkeypatch):
+        config = GenConfig(node_count=500, seed=0)
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        assert digest(serialize(generate(config))) == (
+            "ab9183cb66ceb59a5365e0563e47f5102e65d48f624da316844413273db08492"
+        )
+
+    def test_solver_answers_ignore_it(self, monkeypatch):
+        inst = generate(GenConfig(node_count=500, seed=0))
+        tree, attrs = inst.tree, inst.attrs
+        demands = (inst.params.D, srd(tree, attrs.u))
+        runs = [(key, InstanceFile(tree, attrs, ProblemParams(
+            K=inst.params.K, D=D, N=N))) for key in SOLVERS
+            for D in demands for N in (inst.params.N, tree.n)]
+        plain = [run_solver(*key, i) for key, i in runs]
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        assert [run_solver(*key, i) for key, i in runs] == plain
 
 
 class TestGenerate:

@@ -34,6 +34,15 @@ from srdtree.instance import SHAPES
 from strategies import tree_and_attrs
 
 
+def parent_edges(tree):
+    """Child node to (edge id, parent node), rebuilt from tree.edges."""
+    return {child: (eid, parent) for eid, parent, child in tree.edges}
+
+
+def leaves(tree):
+    return {child for _, _, child in tree.edges} - {parent for _, parent, _ in tree.edges}
+
+
 def unit_attrs(n):
     return EdgeAttrs(
         w={e: 1.0 for e in range(1, n + 1)},
@@ -48,7 +57,7 @@ class TestBuildTree:
         assert tree.root == "s"
         assert tree.n == 3
         assert tree.node_count == 4
-        assert tree.leaves == frozenset({"t1", "t2"})
+        assert leaves(tree) == {"t1", "t2"}
         assert list(tree.edge_ids) == [1, 2, 3]
 
     def test_empty_edge_list(self):
@@ -129,7 +138,7 @@ class TestLeafCounts:
             leaves_below = 0
             while stack:
                 node = stack.pop()
-                kids = [k for k, p in tree.parent_of.items() if p == node]
+                kids = [k for _, p, k in tree.edges if p == node]
                 if not kids:
                     leaves_below += 1
                 stack.extend(kids)
@@ -141,15 +150,15 @@ class TestLeafCounts:
         # every root-leaf path adds one to each edge on it
         inst = generate(GenConfig(node_count=edges + 1, seed=edges, shape=shape))
         tree = inst.tree
+        up = parent_edges(tree)
         walked = dict.fromkeys(tree.edge_ids, 0)
-        for leaf in tree.leaves:
-            node = leaf
+        for node in leaves(tree):
             while node != tree.root:
-                walked[tree.edge_of_child[node]] += 1
-                node = tree.parent_of[node]
+                eid, node = up[node]
+                walked[eid] += 1
         assert tree.counts == walked
         assert sum(tree.counts[e] for e, parent, _ in tree.edges
-                   if parent == tree.root) == len(tree.leaves)
+                   if parent == tree.root) == len(leaves(tree))
 
     def test_stored_once(self, broom):
         tree, _ = broom
@@ -196,23 +205,23 @@ class TestSrd:
     def test_equals_path_walk_exactly(self, ta):
         # linear form versus summing each root-leaf path, in exact arithmetic
         tree, attrs = ta
+        up = parent_edges(tree)
         by_paths = Fraction(0)
-        for leaf in tree.leaves:
-            node = leaf
+        for node in leaves(tree):
             while node != tree.root:
-                by_paths += attrs.w[tree.edge_of_child[node]]
-                node = tree.parent_of[node]
+                eid, node = up[node]
+                by_paths += attrs.w[eid]
         assert srd(tree, attrs.w) == by_paths
 
     @given(tree_and_attrs(max_edges=10))
     def test_equals_path_walk_floats(self, ta):
         tree, attrs = ta
+        up = parent_edges(tree)
         by_paths = 0.0
-        for leaf in tree.leaves:
-            node = leaf
+        for node in leaves(tree):
             while node != tree.root:
-                by_paths += attrs.w[tree.edge_of_child[node]]
-                node = tree.parent_of[node]
+                eid, node = up[node]
+                by_paths += attrs.w[eid]
         assert srd(tree, attrs.w) == pytest.approx(by_paths, rel=1e-12, abs=1e-9)
 
 
