@@ -58,13 +58,14 @@ def sdiptc_bh(tree: RootedTree, attrs: EdgeAttrs, budget, max_changes: int) -> S
 
 
 def _raise_to_u(attrs, edges, breakpoint) -> SolveReport:
-    """Raise the given edges to u; the cost is the dearest edge that moves."""
+    """Raise the given edges to u; the cost is the dearest edge that moves,
+    or the dearest one raised when the snap puts every raise back."""
     w, u = attrs.w, attrs.u
     raised = [e for e in edges if u[e] > w[e]]
     weights = raised_to_u(attrs, raised)
-    cost = max(attrs.c[e] for e in raised)
-    return demand_report(weights, snap_unchanged(weights, attrs, raised), cost,
-                         breakpoint=breakpoint)
+    mods = snap_unchanged(weights, attrs, raised)
+    cost = max(attrs.c[e] for e in (mods or raised))
+    return demand_report(weights, mods, cost, breakpoint=breakpoint)
 
 
 def mcsdipt_bh(tree: RootedTree, attrs: EdgeAttrs, demand) -> SolveReport:

@@ -13,13 +13,14 @@ every edge allowed to change, and that solver ranks the raised edges only
 when the raise moves more than N of them.  The demand problems are
 parametric in the cost level C: at level C an edge gains at most the
 capped amount min(S(e), nu(e) * C), which never falls as C rises, so the
-optimum is the least C whose gains (all of them, or the N largest) cover
-the demanded increase.  Both demand solvers bracket that C between two
-consecutive saturation costs F(e) by bisection and solve the linear piece
-inside the bracket in closed form, with no loop, cap or tolerance.
-mcsdipt_inf keeps a closed form of its own: as mcsdiptc_inf at N = n it
-would rank the gains once per bisection probe.  The scores F, S and nu
-come from ``edge_scores``, and every report from ``report``.
+optimum is the least C whose N largest gains cover the demanded increase.
+mcsdipt_inf is mcsdiptc_inf with every edge allowed to change.  That
+solver brackets C between two consecutive saturation costs F(e) by
+bisection and solves the linear piece inside the bracket in closed form,
+with no loop, cap or tolerance; when at most N edges can gain at all, the
+cap cannot bind and one table of the uncapped gains serves the
+bisection.  The scores F, S and nu come from ``edge_scores``, and every
+report from ``report``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, compress, islice, repeat
-from operator import add, ge, lt, mul
+from operator import add, countOf, ge, lt, mul
 
 from .errors import check_budget, check_change_bound, check_demand
 from .report import INFEASIBLE, SolveReport, already_satisfied, budget_report, demand_report
@@ -97,76 +98,9 @@ def sdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, budget, max_changes: int) -> 
 def mcsdipt_inf(tree: RootedTree, attrs: EdgeAttrs, demand) -> SolveReport:
     """Raise the distance sum to ``demand`` at the least scaled raise cost.
 
-    Spending C raises the sum by the concave piecewise-linear function
-
-        covered(C) = sum over e of L(e) * min(u(e) - w(e), C / c(e)),
-
-    whose kinks sit at the saturation costs F(e).  Sorting edges by F and
-    tabulating covered() at every kink by prefix sums turns the search for
-    the smallest sufficient C into one bisection over a monotone table:
-    k_star is the last kink index whose covered() value still fits under
-    the demanded increase, and the optimum interpolates between kink
-    k_star and the next one.  Edges at or below the level F(order[k_star])
-    saturate at u; every other edge is raised to the same scaled cost.
-
-    The achieved sum equals the demand exactly whenever work is needed, and
-    the optimal weight vector is unique; ``breakpoint`` records k_star so
-    the solution can be reproduced from it.  A demand equal to the reach of
-    all of u, summed as ``srd`` sums it, is answered with u itself at the
-    dearest saturation cost, so the witness reaches it exactly.
+    This is ``mcsdiptc_inf`` with every edge allowed to change.
     """
-    check_demand(demand)
-
-    w, u, c = attrs.w, attrs.u, attrs.c
-    w_total = srd(tree, w)
-    u_total = srd(tree, u)
-    if demand <= w_total:
-        return already_satisfied(attrs)
-    if u_total < demand:
-        return INFEASIBLE
-
-    delta = demand - w_total
-    table = edge_scores(tree, attrs)
-    order = table.sorted_by_F
-    F_sorted = list(map(table.F.__getitem__, order))
-    n = len(order)
-
-    # tail[k]: nu summed over order[k:], the slope of covered() past kink k
-    tail = list(accumulate(map(table.nu.__getitem__, reversed(order)), initial=0))
-    tail.reverse()
-    # covered[k]: the first k edges saturated, the rest at the level F[k-1]
-    saturated = accumulate(map(table.S.__getitem__, order), initial=0)
-    next(saturated)
-    covered = [0]
-    covered += map(add, saturated, map(mul, F_sorted, islice(tail, 1, None)))
-
-    # covered is non-decreasing and covered[n] = u_total - w_total >= delta,
-    # so the bisection lands inside the table unless float dust leaves
-    # covered[n] a hair below the delta that u_total cleared; all of u
-    # reaches the demand then, at the dearest saturation cost, and so it
-    # does when the demand is exactly u_total, which interpolation could
-    # miss by an ulp.
-    k_star = bisect_left(covered, delta) - 1
-    if k_star == n or demand == u_total:
-        weights = dict(u)
-        return demand_report(weights, snap_unchanged(weights, attrs), F_sorted[-1],
-                             breakpoint=k_star)
-
-    level = F_sorted[k_star - 1] if k_star >= 1 else 0
-    rem = delta - covered[k_star]
-    rs = tail[k_star]
-    cost = level + rem / rs
-
-    weights = {}
-    for i in range(k_star):
-        e = order[i]
-        weights[e] = u[e]
-    for i in range(k_star, n):
-        e = order[i]
-        # rounding may overshoot u by a few ulps on the edge due next
-        weights[e] = min(u[e], w[e] + level / c[e] + rem / (c[e] * rs))
-    return demand_report(weights, snap_unchanged(weights, attrs), cost,
-                         breakpoint=k_star)
+    return mcsdiptc_inf(tree, attrs, demand, tree.n)
 
 
 def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -> SolveReport:
@@ -176,11 +110,19 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
     more than S(e) is impossible and more than nu(e) * C costs more than C.
     The sum top(C) of the N = max_changes largest gains never falls as C
     rises, so the optimum is C* = min{C : top(C) >= delta}, with delta the
-    demanded increase (Megiddo's parametric pattern).  The solve:
+    demanded increase (Megiddo's parametric pattern).  With F sorted
+    ascending and F(0) = 0, ``breakpoint`` is the k with
+    F(k) < C* <= F(k + 1).
 
-    1. bisects over the distinct saturation costs F, ascending, for the
-       bracket (F[k-1], F[k]] that holds C*, one top() per probe;
-    2. inside the bracket the edges with F <= F[k-1] gain the constants S
+    When at most N edges have a positive gain S the cap cannot bind, and
+    top(C) = sum over e of L(e) * min(u(e) - w(e), C / c(e)) is linear
+    between its kinks at F.  Prefix sums over the F order tabulate it at
+    every kink, one bisection of that table finds k, and C* interpolates
+    inside the bracket: edges with F <= F(k) go to u, the rest to
+    w + C* / c.  ``iterations`` is 0.  Otherwise the solve
+
+    1. bisects over the F order for k, one top() per probe (``iterations``);
+    2. inside the bracket the edges with F <= F(k) gain the constants S
        and every other edge the line nu * C, so with A and B the prefix
        sums of those S and nu sorted descending,
        top(C) = max_j A[j] + C * B[N - j] and
@@ -189,11 +131,11 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
        to u when F <= C*, otherwise to min(u, w + C* / c).
 
     Only +, -, *, / and comparisons are used, so exact rationals stay
-    exact.  The demand is reachable exactly when ``srd`` of the vector
-    that raises the N largest S to u reaches it.  That vector is the answer
-    when float dust keeps top() below delta even at the dearest F, and when
-    the demand is exactly ``srd`` of all of u, so the witness reaches it.
-    ``breakpoint`` is k and ``iterations`` the number of probes.
+    exact.  The demand is reachable exactly when ``srd`` of the vector that
+    raises the N largest S to u reaches it.  That vector is the answer, at
+    the dearest F, when float dust keeps the gains below delta, and when
+    the demand is exactly ``srd`` of all of u, which interpolation could
+    miss by an ulp; so the witness reaches it.
     """
     check_demand(demand)
     check_change_bound(max_changes, tree.n)
@@ -202,16 +144,51 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
     w_total = srd(tree, w)
     if demand <= w_total:
         return already_satisfied(attrs)
+    delta = demand - w_total
 
     table = edge_scores(tree, attrs)
     F, S, nu = table.F, table.S, table.nu
-    by_S, by_nu = table.sorted_by_S, table.sorted_by_nu
+    order = table.sorted_by_F
+    F_sorted = list(map(F.__getitem__, order))
+    n = len(order)
     N = max_changes
+
+    if n - countOf(S.values(), 0) <= N:
+        u_total = srd(tree, u)
+        if u_total < demand:
+            return INFEASIBLE
+        # tail[k]: nu summed over order[k:], the slope of covered() past kink k
+        tail = list(accumulate(map(nu.__getitem__, reversed(order)), initial=0))
+        tail.reverse()
+        # covered[k]: the first k edges saturated, the rest at the level F[k-1]
+        saturated = accumulate(map(S.__getitem__, order))
+        covered = [0]
+        covered += map(add, saturated, map(mul, F_sorted, islice(tail, 1, None)))
+
+        # covered is non-decreasing and covered[n] = u_total - w_total >=
+        # delta, so the bisection lands inside the table unless float dust
+        # leaves covered[n] a hair below the delta that u_total cleared
+        k = bisect_left(covered, delta) - 1
+        if k == n or demand == u_total:
+            weights = dict(u)
+            return demand_report(weights, snap_unchanged(weights, attrs), F_sorted[-1],
+                                 breakpoint=k)
+
+        level = F_sorted[k - 1] if k else 0
+        rem = delta - covered[k]
+        rs = tail[k]
+        weights = {e: u[e] for e in order[:k]}
+        for e in order[k:]:
+            # rounding may overshoot u by a few ulps on the edge due next
+            weights[e] = min(u[e], w[e] + level / c[e] + rem / (c[e] * rs))
+        return demand_report(weights, snap_unchanged(weights, attrs), level + rem / rs,
+                             breakpoint=k)
+
+    by_S, by_nu = table.sorted_by_S, table.sorted_by_nu
     full = raised_to_u(attrs, by_S[:N])
     reach = srd(tree, full)
     if reach < demand:
         return INFEASIBLE
-    delta = demand - w_total
 
     F_by_S = [F[e] for e in by_S]
     F_by_nu = [F[e] for e in by_nu]
@@ -231,19 +208,18 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
         # one addition at a time, as the tables below and srd add
         return reduce(add, gains[:N], 0)
 
-    levels = list(dict.fromkeys(map(F.__getitem__, table.sorted_by_F)))
-    lo, hi, probes = 0, len(levels), 0
+    # the first position whose F covers delta; tied F cover alike, so the
+    # F just below it is strictly smaller
+    lo, hi, probes = 0, n, 0
     while lo < hi:
         mid = (lo + hi) // 2
         probes += 1
-        if top(levels[mid]) >= delta:
+        if top(F_sorted[mid]) >= delta:
             hi = mid
         else:
             lo = mid + 1
     k = lo
-    # past the dearest F, or a demand of exactly all of u's reach, which the
-    # closed form could miss by an ulp: the full raise reaches it
-    if k == len(levels) or reach == demand == srd(tree, u):
+    if k == n or reach == demand == srd(tree, u):
         cost = max(F[e] for e in by_S[:N])
         return demand_report(full, snap_unchanged(full, attrs, by_S[:N]), cost,
                              probes, k)
@@ -251,20 +227,20 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
     # Inside the bracket: j of the N come from the saturated constants A,
     # the other N - j from the unsaturated lines B * C; j = N is a
     # constant that the bracket's lower end already failed to reach.
-    sat, free = split(levels[k - 1] if k else 0)
+    sat, free = split(F_sorted[k - 1] if k else 0)
     A = list(accumulate(map(S.__getitem__, sat), initial=0))
     B = list(accumulate(map(nu.__getitem__, free), initial=0))
     cost = min((delta - A[j]) / B[N - j]
                for j in range(max(0, N - len(free)), min(len(sat), N - 1) + 1))
-    # the probe at F[k] counted the edges saturating there as S, the lines
-    # here as nu * F[k]; rounding may put the crossing a hair past F[k]
-    if cost > levels[k]:
-        cost = levels[k]
+    # the probe at F(k + 1) counted the edges saturating there as S, the
+    # lines here as nu * F(k + 1); rounding may put the crossing a hair past
+    if cost > F_sorted[k]:
+        cost = F_sorted[k]
 
     sat, free = split(cost)
-    gain = {e: S[e] for e in sat}
-    gain.update((e, nu[e] * cost) for e in free)
-    chosen = sorted(gain, key=lambda e: (-gain[e], e))[:N]
+    # ids ascend and the sort is stable, so ties keep the smaller id
+    gain = {e: S[e] if F[e] <= cost else nu[e] * cost for e in sorted(sat + free)}
+    chosen = sorted(gain, key=gain.__getitem__, reverse=True)[:N]
     weights = dict(w)
     for e in chosen:
         weights[e] = u[e] if F[e] <= cost else min(u[e], w[e] + cost / c[e])

@@ -10,6 +10,7 @@ grinding forever.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -36,14 +37,11 @@ def grid_sdipt_inf(tree: RootedTree, attrs: EdgeAttrs, budget,
                    resolution: float = 1e-4) -> OracleResult:
     """Budgeted maximization by per-edge grid scan.
 
-    Each edge is scanned over an evenly spaced grid of raises between 0 and
-    its slack; raises priced above the budget are discarded.  The result
-    underestimates the true optimum by at most one grid step per edge.
+    Each edge takes the last point of an evenly spaced grid of raises
+    between 0 and its slack (i * (gap / steps), the gap itself last) whose
+    price fits the budget.  The result underestimates the true optimum by
+    at most one grid step per edge.
     """
-    # Imported here, not at module level: nothing else in the package
-    # needs numpy, and the command line pulls this module in.
-    import numpy as np
-
     steps = round(1.0 / resolution)
     counts = leaf_counts(tree)
     w, u, c = attrs.w, attrs.u, attrs.c
@@ -52,9 +50,14 @@ def grid_sdipt_inf(tree: RootedTree, attrs: EdgeAttrs, budget,
     total = 0.0
     for e in tree.edge_ids:
         gap = u[e] - w[e]
-        raises = np.linspace(0.0, gap, steps + 1)
-        ok = raises[c[e] * raises <= budget]
-        best = float(ok[-1]) if ok.size else 0.0
+        step = float(gap) / steps
+
+        def point(i):
+            return gap if i == steps else i * step
+
+        # prices grow along the grid, so the affordable points are a prefix
+        fits = bisect_right(range(steps + 1), budget, key=lambda i: c[e] * point(i))
+        best = float(point(fits - 1)) if fits else 0.0
         weights[e] = w[e] + best
         total += counts[e] * weights[e]
     changed = frozenset(e for e in tree.edge_ids if weights[e] > w[e])

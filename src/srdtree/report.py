@@ -42,9 +42,11 @@ class SolveReport:
     an infeasible demand.
 
     breakpoint records the index the demand solvers bracket their answer
-    with, so an outside check can rebuild the whole solution from it.
-    iterations counts the bisection probes of the cardinality demand
-    solver under the scaled-raise norm, and stays 0 elsewhere.
+    with, so an outside check can rebuild the whole solution from it; under
+    the scaled-raise norm it is the k with F(k) < cost <= F(k + 1), F sorted
+    ascending and F(0) = 0.  iterations counts the bisection probes of the
+    scaled-raise demand solvers, 0 when at most N edges can gain, and stays
+    0 elsewhere.
     """
 
     status: Status

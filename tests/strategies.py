@@ -84,3 +84,20 @@ def tree_and_attrs(draw, min_edges=1, max_edges=12, exact=False):
     edges = draw(edge_lists(min_edges=min_edges, max_edges=max_edges))
     attrs = draw(attrs_for([e[0] for e in edges], exact=exact))
     return build_tree(edges, attrs), attrs
+
+
+@st.composite
+def tied_trees(draw, num=Fraction, max_edges=10):
+    """Trees whose w, u and c are small integers, as ``num``.
+
+    The full-raise costs F tie often, and about one gap in four is 0.
+    """
+    edges = draw(edge_lists(max_edges=max_edges))
+    small = st.integers(min_value=0, max_value=3)
+    w, u, c = {}, {}, {}
+    for eid, _, _ in edges:
+        w[eid] = num(draw(small))
+        u[eid] = w[eid] + draw(small)
+        c[eid] = num(draw(st.integers(min_value=1, max_value=3)))
+    attrs = EdgeAttrs(w=w, u=u, c=c)
+    return build_tree(edges, attrs), attrs

@@ -5,10 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from srdtree import (
+    EdgeAttrs,
     GenConfig,
     NegativeBudget,
     NOutOfRange,
     Status,
+    build_tree,
     generate,
     mcsdipt_bh,
     mcsdiptc_bh,
@@ -141,6 +143,20 @@ class TestDemandMin:
         assert rep.modified_edges == frozenset({2})
         assert rep.weights[1] == 0.0
         assert rep.cost == 2.0
+
+    @pytest.mark.parametrize("cap", [None, 1, 2])
+    def test_raise_put_back_by_the_snap_costs_nothing(self, cap):
+        # edge 1 rises by 4e-13, within the slack, so the snap puts it back
+        edges = [(1, "s", "t1"), (2, "s", "t2")]
+        attrs = EdgeAttrs(w={1: 1.0, 2: 1.0}, u={1: 1.0 + 4e-13, 2: 2.0},
+                          c={1: 10.0, 2: 1.0})
+        tree = build_tree(edges, attrs)
+        demand = srd(tree, attrs.u)
+        rep = (mcsdipt_bh(tree, attrs, demand) if cap is None
+               else mcsdiptc_bh(tree, attrs, demand, cap))
+        assert rep.status is Status.FEASIBLE
+        assert rep.modified_edges == frozenset({2})
+        assert rep.cost == 1.0
 
     @given(tree_and_attrs(), st.floats(min_value=0.0, max_value=1.0))
     def test_cost_is_an_edge_cost_and_demand_is_met(self, ta, frac):

@@ -22,7 +22,7 @@ from srdtree import (
 from srdtree.instance import SHAPES
 
 from certificates import capped_demand_faults, capped_top
-from strategies import NUMS, STAR_TIES, star, tree_and_attrs
+from strategies import NUMS, STAR_TIES, star, tied_trees, tree_and_attrs
 
 
 def broom_exact():
@@ -244,7 +244,7 @@ class TestDemandMinCapped:
         assert rep.cost == pytest.approx(1.5)
         assert rep.modified_edges == frozenset({1})
         assert srd(tree, rep.weights) == pytest.approx(7.0)
-        # F levels {2, 4}: two probes bracket the optimum below F = 2
+        # F (2, 2, 4): two probes bracket the optimum below the first F
         assert rep.iterations == 2
         assert rep.breakpoint == 0
 
@@ -339,6 +339,26 @@ class TestDemandMinCapped:
         assert capped.status is free.status
         if free.status is Status.FEASIBLE:
             assert capped.cost == pytest.approx(free.cost, rel=1e-9, abs=1e-12)
+
+
+class TestBreakpoint:
+    """breakpoint k brackets the cost: F(k) < cost <= F(k + 1), F ascending."""
+
+    @given(tied_trees(), st.fractions(min_value=0, max_value=1, max_denominator=16),
+           st.data())
+    def test_brackets_the_cost_on_tied_F(self, ta, share, data):
+        tree, attrs = ta
+        w, u, c = attrs.w, attrs.u, attrs.c
+        cap = data.draw(st.integers(min_value=1, max_value=tree.n))
+        # F[0] = 0 below the sorted full-raise costs F[1..n]
+        F = [0, *sorted(c[e] * (u[e] - w[e]) for e in tree.edge_ids)]
+        low, high = srd(tree, w), srd(tree, u)
+        for demand in (low + share * (high - low), high):
+            for rep in (mcsdipt_inf(tree, attrs, demand),
+                        mcsdiptc_inf(tree, attrs, demand, cap)):
+                if rep.status is Status.FEASIBLE:
+                    k = rep.breakpoint
+                    assert F[k] < rep.cost <= F[k + 1]
 
 
 class TestExactReachableBoundary:

@@ -1,15 +1,29 @@
 """An uncapped problem is its capped twin with every edge allowed to change.
 
-sdipt_inf, sdipt_bh and mcsdipt_bh must answer exactly as sdiptc_inf,
-sdiptc_bh and mcsdiptc_bh do at N = n, down to the repr of every number.
+sdipt_inf, sdipt_bh, mcsdipt_inf and mcsdipt_bh must answer exactly as
+sdiptc_inf, sdiptc_bh, mcsdiptc_inf and mcsdiptc_bh do at N = n, down to
+the repr of every number.  So must mcsdiptc_inf at any N that leaves every
+edge with a positive gain free to change.
 """
 
-from hypothesis import given
+from fractions import Fraction
+
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from srdtree import mcsdipt_bh, mcsdiptc_bh, sdipt_bh, sdipt_inf, sdiptc_bh, sdiptc_inf, srd
+from srdtree import (
+    mcsdipt_bh,
+    mcsdipt_inf,
+    mcsdiptc_bh,
+    mcsdiptc_inf,
+    sdipt_bh,
+    sdipt_inf,
+    sdiptc_bh,
+    sdiptc_inf,
+    srd,
+)
 
-from strategies import tree_and_attrs
+from strategies import tied_trees, tree_and_attrs
 
 trees = st.booleans().flatmap(lambda exact: tree_and_attrs(exact=exact))
 
@@ -41,3 +55,18 @@ def test_demand_solver(ta, share):
             demand = float(demand)
         assert fingerprint(mcsdipt_bh(tree, attrs, demand)) == \
             fingerprint(mcsdiptc_bh(tree, attrs, demand, tree.n))
+        assert fingerprint(mcsdipt_inf(tree, attrs, demand)) == \
+            fingerprint(mcsdiptc_inf(tree, attrs, demand, tree.n))
+
+
+@given(st.sampled_from([float, Fraction]).flatmap(lambda num: tied_trees(num=num)),
+       st.fractions(min_value=0, max_value=1, max_denominator=16))
+def test_cap_at_the_gaining_edges(ta, share):
+    # some gaps are 0, so N = the number of edges that can gain is below n
+    tree, attrs = ta
+    gaining = sum(attrs.u[e] > attrs.w[e] for e in tree.edge_ids)
+    assume(0 < gaining < tree.n)
+    low, high = srd(tree, attrs.w), srd(tree, attrs.u)
+    for demand in (low + share * (high - low), high):
+        assert fingerprint(mcsdiptc_inf(tree, attrs, demand, gaining)) == \
+            fingerprint(mcsdipt_inf(tree, attrs, demand))
