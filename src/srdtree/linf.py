@@ -181,8 +181,9 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
         for e in order[k:]:
             # rounding may overshoot u by a few ulps on the edge due next
             weights[e] = min(u[e], w[e] + level / c[e] + rem / (c[e] * rs))
-        return demand_report(weights, snap_unchanged(weights, attrs), level + rem / rs,
-                             breakpoint=k)
+        # rounding may put the cost a hair past the next kink, as below
+        cost = min(level + rem / rs, F_sorted[k])
+        return demand_report(weights, snap_unchanged(weights, attrs), cost, breakpoint=k)
 
     by_S, by_nu = table.sorted_by_S, table.sorted_by_nu
     full = raised_to_u(attrs, by_S[:N])

@@ -10,13 +10,24 @@ The target quantity throughout the package is the sum of root-leaf
 distances: the total, over all leaves, of the weight of the path from the
 root to that leaf.  Each edge contributes its weight once per leaf below
 it, which gives the linear form used by ``srd``.  Those leaf counts depend
-on the tree alone, so ``build_tree`` computes them once and stores them on
-the frozen tree; every solver reads them from there.
+on the tree alone, so they are computed once, when the tree is assembled,
+and stored on the frozen tree; every solver reads them from there.
+
+Assembly works on the edges as three columns (ids, parents, children):
+each structural check is one pass over a column, the tree becomes an
+integer index of each edge's parent edge, and the counts are summed
+bottom-up over it, in the reverse of a breadth-first walk over the
+children, grouped by one stable sort.
+``build_tree`` takes (id, parent, child) triples and transposes them;
+``parse`` and ``generate`` hand over their columns directly.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, islice, repeat
+from operator import eq, sub
 
 from .errors import (
     AttrBoundsViolated,
@@ -84,77 +95,13 @@ def build_tree(edge_list, attrs: EdgeAttrs) -> RootedTree:
     several roots, cycles, non-dense ids, missing attribute entries and
     attribute bound violations.
     """
-    if not edge_list:
-        raise InvalidEdgeId("edge list is empty")
-
-    parent_of = {}
-    child_of_edge = {}
-    edge_of_child = {}
-    nodes = set()
-    for eid, parent, child in edge_list:
-        if eid in child_of_edge:
-            raise DuplicateEdgeId(f"edge id {eid} appears twice")
-        if child in parent_of:
-            raise DuplicateChild(f"node {child!r} has two incoming edges")
-        if parent == child:
-            raise CycleDetected(f"edge {eid} is a self loop at {child!r}")
-        parent_of[child] = parent
-        child_of_edge[eid] = child
-        edge_of_child[child] = eid
-        nodes.add(parent)
-        nodes.add(child)
-
-    n = len(edge_list)
-    ids = set(child_of_edge)
-    if ids != set(range(1, n + 1)):
-        raise InvalidEdgeId(f"edge ids must be 1..{n}, got {sorted(ids)}")
-
-    parentless = nodes - parent_of.keys()
-    if not parentless:
-        raise CycleDetected("every node has a parent, so the edges close a cycle")
-    if len(parentless) > 1:
-        raise MultipleRoots(f"nodes without a parent: {sorted(parentless)}")
-    (root,) = parentless
-
-    # out_edges[node] lists the ids of the edges leaving node
-    out_edges = {}
-    for eid, parent, _ in edge_list:
-        out_edges.setdefault(parent, []).append(eid)
-
-    # breadth-first order of the edges reachable from the root; the list
-    # grows while it is walked, and every node has one parent, so no edge
-    # is met twice
-    order = list(out_edges.get(root, ()))
-    for eid in order:
-        order.extend(out_edges.get(child_of_edge[eid], ()))
-    if len(order) != n:
-        reached = {root}.union(map(child_of_edge.__getitem__, order))
-        stray = next(iter(nodes - reached))
-        seen = set()
-        node = stray
-        while node in parent_of:
-            if node in seen:
-                raise CycleDetected(f"node {stray!r} sits on or below a cycle")
-            seen.add(node)
-            node = parent_of[node]
-        raise DisconnectedNode(f"node {stray!r} does not reach the root")
-
-    # leaves below each edge, bottom-up: a child edge comes after its parent
-    # edge in BFS order, so walking the order backwards finishes every edge
-    # before the one above it; index 0 collects the root's edges
-    up = [0] * (n + 1)
-    for eid, parent, _ in edge_list:
-        up[eid] = edge_of_child.get(parent, 0)
-    below = [0] * (n + 1)
-    for eid in reversed(order):
-        if not below[eid]:
-            below[eid] = 1
-        below[up[eid]] += below[eid]
-    # keyed by the caller's own id objects, so the dict adds no int per
-    # edge, in ascending order, so a walk over it visits the ids in order
-    counts = {eid: below[eid] for eid in sorted(child_of_edge)}
-
-    for eid in range(1, n + 1):
+    edge_list = list(edge_list)
+    if any(len(edge) != 3 for edge in edge_list):
+        # unpacks each edge in turn, so the first one at fault raises
+        _first_bad_edge(edge_list)
+    columns = [list(column) for column in zip(*edge_list)] or [[], [], []]
+    tree = _assemble(*columns)
+    for eid in range(1, tree.n + 1):
         if eid not in attrs.w or eid not in attrs.u or eid not in attrs.c:
             raise MissingEdgeWeight(f"attributes missing for edge {eid}")
         w, u, c = attrs.w[eid], attrs.u[eid], attrs.c[eid]
@@ -164,12 +111,108 @@ def build_tree(edge_list, attrs: EdgeAttrs) -> RootedTree:
             raise AttrBoundsViolated(f"edge {eid}: u = {u} lies below w = {w}")
         if c <= 0:
             raise AttrBoundsViolated(f"edge {eid}: c = {c} is not positive")
+    return tree
+
+
+def _assemble(eids: list, parents: list, children: list) -> RootedTree:
+    """The tree of the edges given as three columns, one entry per edge.
+
+    Every check is a pass over a whole column; only a failed one walks the
+    edges one by one, to name the first edge at fault.
+    """
+    n = len(eids)
+    if not n:
+        raise InvalidEdgeId("edge list is empty")
+    at = dict(zip(eids, range(n)))
+    edge_into = dict(zip(children, eids))
+    if len(at) < n or len(edge_into) < n or any(map(eq, parents, children)):
+        _first_bad_edge(zip(eids, parents, children))
+    # pos[e - 1]: the column position of edge id e
+    pos = list(map(at.get, range(1, n + 1)))
+    if None in pos:
+        raise InvalidEdgeId(f"edge ids must be 1..{n}, got {sorted(at)}")
+
+    parentless = set(parents).difference(edge_into)
+    if not parentless:
+        raise CycleDetected("every node has a parent, so the edges close a cycle")
+    if len(parentless) > 1:
+        raise MultipleRoots(f"nodes without a parent: {sorted(parentless)}")
+    (root,) = parentless
+
+    # up[e]: the id of the edge above edge e, 0 for an edge leaving the
+    # root; index 0 stands for the root itself
+    up = [0]
+    up += map(edge_into.get, map(parents.__getitem__, pos), repeat(0))
+    order = _breadth_first(up)
+    if len(order) != n:
+        _stray_node(root, order, pos, parents, children)
+
+    # leaves below each edge, summed bottom-up from 1 on each leaf edge
+    inner = set(up)
+    below = list(map(sub, repeat(1), map(inner.__contains__, range(n + 1))))
+    for e in reversed(order):
+        below[up[e]] += below[e]
 
     return RootedTree(
         root=root,
-        edges=tuple((eid, parent, child) for eid, parent, child in edge_list),
-        counts=counts,
+        edges=tuple(zip(eids, parents, children)),
+        # keyed by the caller's own id objects, so the dict adds no int per
+        # edge, in ascending order, so a walk over it visits the ids in order
+        counts=dict(zip(map(eids.__getitem__, pos), islice(below, 1, None))),
     )
+
+
+def _breadth_first(up: list) -> list:
+    """The edge ids reachable from the root, breadth first, given up links.
+
+    The children of each edge sit in one id-sorted list, those of edge e
+    at kids[start[e]:start[e + 1]]; the order grows while it is walked,
+    and every node has one parent, so no edge is met twice.
+    """
+    n = len(up) - 1
+    kids = sorted(range(1, n + 1), key=up.__getitem__)
+    per_edge = Counter(islice(up, 1, None))
+    start = list(accumulate(map(per_edge.get, range(n + 1), repeat(0)), initial=0))
+    order = kids[:start[1]]
+    for e in order:
+        order += kids[start[e]:start[e + 1]]
+    return order
+
+
+def _first_bad_edge(edges) -> None:
+    """Raise for the first of the (id, parent, child) edges that repeats an
+    id or a child, loops, or is not a triple."""
+    ids, entered = set(), set()
+    for eid, parent, child in edges:
+        if eid in ids:
+            raise DuplicateEdgeId(f"edge id {eid} appears twice")
+        if child in entered:
+            raise DuplicateChild(f"node {child!r} has two incoming edges")
+        if parent == child:
+            raise CycleDetected(f"edge {eid} is a self loop at {child!r}")
+        ids.add(eid)
+        entered.add(child)
+
+
+def _stray_node(root, order, pos, parents, children) -> None:
+    """Raise for a node that the breadth-first walk from the root missed."""
+    # filled edge by edge: the set's order, and so the stray it names,
+    # follows the edge order
+    nodes = set()
+    for parent, child in zip(parents, children):
+        nodes.add(parent)
+        nodes.add(child)
+    reached = {root}.union(children[pos[e - 1]] for e in order)
+    stray = next(iter(nodes - reached))
+    parent_of = dict(zip(children, parents))
+    seen = set()
+    node = stray
+    while node in parent_of:
+        if node in seen:
+            raise CycleDetected(f"node {stray!r} sits on or below a cycle")
+        seen.add(node)
+        node = parent_of[node]
+    raise DisconnectedNode(f"node {stray!r} does not reach the root")
 
 
 def leaf_counts(tree: RootedTree) -> dict:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from srdtree import (
@@ -341,6 +341,21 @@ class TestDemandMinCapped:
             assert capped.cost == pytest.approx(free.cost, rel=1e-9, abs=1e-12)
 
 
+def float_ties():
+    """Tied float F = (0, 2, 2, 3, 4, 6, 6, 9); at 11/16 of the way from
+    srd(w) to srd(u) the closed form rounds its cost to 3.0000000000000004,
+    one ulp past F(4) = 3.0."""
+    edges = [(1, "s", "v1"), (2, "v1", "v2"), (3, "s", "v3"), (4, "s", "v4"),
+             (5, "s", "v5"), (6, "v2", "v6"), (7, "v1", "v7"), (8, "v3", "v8")]
+    w = (3, 2, 3, 2, 1, 3, 3, 0)
+    slack = (0, 1, 2, 3, 2, 3, 2, 3)
+    c = (3, 2, 1, 1, 3, 2, 2, 3)
+    attrs = EdgeAttrs(w={e: float(w[e - 1]) for e in range(1, 9)},
+                      u={e: float(w[e - 1] + slack[e - 1]) for e in range(1, 9)},
+                      c={e: float(c[e - 1]) for e in range(1, 9)})
+    return build_tree(edges, attrs), attrs
+
+
 class TestBreakpoint:
     """breakpoint k brackets the cost: F(k) < cost <= F(k + 1), F ascending."""
 
@@ -359,6 +374,25 @@ class TestBreakpoint:
                 if rep.status is Status.FEASIBLE:
                     k = rep.breakpoint
                     assert F[k] < rep.cost <= F[k + 1]
+
+    @example(ta=float_ties(), share=Fraction(11, 16))
+    @given(tied_trees(num=float),
+           st.fractions(min_value=0, max_value=Fraction(15, 16), max_denominator=16))
+    def test_float_cost_never_passes_the_next_kink(self, ta, share):
+        # Float mode, demands strictly inside (srd(w), srd(u)), every cap.
+        # Float dust can leave the bracket inside a group of tied F, where
+        # the clamped cost then equals F(k); the upper end always holds.
+        tree, attrs = ta
+        w, u, c = attrs.w, attrs.u, attrs.c
+        F = [0, *sorted(c[e] * (u[e] - w[e]) for e in tree.edge_ids)]
+        low, high = srd(tree, w), srd(tree, u)
+        demand = low + share * (high - low)
+        for rep in (mcsdipt_inf(tree, attrs, demand),
+                    *(mcsdiptc_inf(tree, attrs, demand, cap)
+                      for cap in range(1, tree.n + 1))):
+            if rep.status is Status.FEASIBLE:
+                k = rep.breakpoint
+                assert F[k] <= rep.cost <= F[k + 1]
 
 
 class TestExactReachableBoundary:
