@@ -25,7 +25,7 @@ from itertools import accumulate, islice
 from .errors import check_budget, check_change_bound, check_demand
 from .report import INFEASIBLE, SolveReport, already_satisfied, budget_report, demand_report
 from .scores import edge_scores
-from .tree import EdgeAttrs, RootedTree, raised_to_u, snap_unchanged, srd
+from .tree import EdgeAttrs, RootedTree, modified_edges, raised_to_u, srd
 
 
 def sdipt_bh(tree: RootedTree, attrs: EdgeAttrs, budget) -> SolveReport:
@@ -53,19 +53,18 @@ def sdiptc_bh(tree: RootedTree, attrs: EdgeAttrs, budget, max_changes: int) -> S
         S = edge_scores(tree, attrs).S
         chosen = sorted(chosen, key=S.__getitem__, reverse=True)[:max_changes]
     weights = raised_to_u(attrs, chosen)
-    mods = snap_unchanged(weights, attrs, chosen)
+    mods = modified_edges(weights, attrs, chosen)
     return budget_report(tree, weights, mods, max((c[e] for e in mods), default=0))
 
 
 def _raise_to_u(attrs, edges, breakpoint) -> SolveReport:
-    """Raise the given edges to u; the cost is the dearest edge that moves,
-    or the dearest one raised when the snap puts every raise back."""
-    w, u = attrs.w, attrs.u
-    raised = [e for e in edges if u[e] > w[e]]
-    weights = raised_to_u(attrs, raised)
-    mods = snap_unchanged(weights, attrs, raised)
-    cost = max(attrs.c[e] for e in (mods or raised))
-    return demand_report(weights, mods, cost, breakpoint=breakpoint)
+    """Raise the given edges to u; the cost is the dearest edge that
+    changes, one whose u differs from its w.  Past the gate, the callers'
+    edges always hold one."""
+    edges = list(edges)
+    weights = raised_to_u(attrs, edges)
+    mods = modified_edges(weights, attrs, edges)
+    return demand_report(weights, mods, max(attrs.c[e] for e in mods), breakpoint=breakpoint)
 
 
 def mcsdipt_bh(tree: RootedTree, attrs: EdgeAttrs, demand) -> SolveReport:
@@ -80,26 +79,27 @@ def mcsdipt_bh(tree: RootedTree, attrs: EdgeAttrs, demand) -> SolveReport:
 def mcsdiptc_bh(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -> SolveReport:
     """Reach ``demand`` changing at most ``max_changes`` edges.
 
-    Any price ceiling admits exactly the edges at or below it, so without
-    the edge bound the answer walks the edges by ascending cost and stops
-    at the first prefix whose total gain covers the gap; zero-gain edges
-    in the prefix are left untouched, and the cost is the dearest edge of
-    the prefix that moves.  ``breakpoint`` is then the largest prefix
-    length whose gain still falls short.  Should float dust leave the
-    whole table a hair below the gap that ``srd`` of all of u cleared, the
-    prefix is every edge.
+    The solve opens with the gate ``mcsdiptc_inf`` shares, the table's
+    ``capped_reach``: a demand above ``srd`` of the vector that raises the
+    max_changes largest full-raise gains to u is infeasible under either
+    norm.  Past it, any price ceiling admits exactly the edges at or below
+    it, so without the edge bound the answer walks the edges by ascending
+    cost and stops at the first prefix whose total gain covers the gap;
+    zero-gain edges in the prefix keep their weight, and the cost is the
+    dearest edge of the prefix that changes, one whose u differs from its
+    w.  ``breakpoint`` is then the largest prefix length whose gain still
+    falls short.  Should float dust leave the whole table a hair below
+    the gap that the gate cleared, the prefix is every edge.
 
-    When that answer changes more than max_changes edges, the demand is
-    infeasible exactly when ``srd`` of the vector that raises the
-    max_changes largest full-raise gains to u falls short of it.
-    Otherwise the answer is the shortest cost-ordered prefix whose best
-    max_changes gains cover the gap: the prefix length is found by
-    bisection on that monotone quantity (tabulated with one running
-    min-heap sweep), the edge set is the top gains inside the prefix with
-    ties to smaller ids, and the cost is the dearest edge that moves: the
-    last prefix edge, which always belongs to the set.  ``breakpoint`` is
-    the prefix length.  Should float dust keep the table below the gap,
-    the prefix is every edge.
+    When that answer changes more than max_changes edges, the answer is
+    the shortest cost-ordered prefix whose best max_changes gains cover
+    the gap: the prefix length is found by bisection on that monotone
+    quantity (tabulated with one running min-heap sweep), the edge set is
+    the top gains inside the prefix with ties to smaller ids, and the cost
+    is the dearest edge that changes: the last prefix edge, which always
+    belongs to the set.  ``breakpoint`` is the prefix length.  Should float
+    dust keep the table below the gap, the prefix is every edge, and the
+    set is the gate's own.
     """
     check_demand(demand)
     check_change_bound(max_changes, tree.n)
@@ -107,21 +107,17 @@ def mcsdiptc_bh(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) ->
     w_total = srd(tree, attrs.w)
     if demand <= w_total:
         return already_satisfied(attrs)
-    if srd(tree, attrs.u) < demand:
+    table = edge_scores(tree, attrs)
+    if table.capped_reach(max_changes) < demand:
         return INFEASIBLE
     delta = demand - w_total
 
-    table = edge_scores(tree, attrs)
     S, alpha = table.S, table.sorted_by_c
     prefix_gain = list(accumulate(map(S.__getitem__, alpha), initial=0))
     take = min(bisect_left(prefix_gain, delta), len(alpha))
     base = _raise_to_u(attrs, alpha[:take], breakpoint=take - 1)
     if len(base.modified_edges) <= max_changes:
         return base
-
-    by_S = table.sorted_by_S
-    if srd(tree, raised_to_u(attrs, by_S[:max_changes])) < demand:
-        return INFEASIBLE
 
     # capped[i] = sum of the max_changes largest S among the first N + i
     # prefix edges; non-decreasing in i
@@ -139,8 +135,9 @@ def mcsdiptc_bh(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) ->
             capped.append(running)
 
     take = min(max_changes + bisect_left(capped, delta), len(alpha))
-    # by_S lists S descending with ties in ascending id order, so its first
-    # max_changes prefix edges are the top gains with ties to smaller ids
+    # sorted_by_S lists S descending with ties in ascending id order, so
+    # its first max_changes prefix edges are the top gains with ties to
+    # smaller ids
     prefix = set(alpha[:take])
-    chosen = islice((e for e in by_S if e in prefix), max_changes)
+    chosen = islice((e for e in table.sorted_by_S if e in prefix), max_changes)
     return _raise_to_u(attrs, chosen, breakpoint=take)

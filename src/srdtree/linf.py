@@ -30,18 +30,18 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, compress, islice, repeat
-from operator import add, countOf, ge, lt, mul
+from operator import add, ge, lt, mul
 
 from .errors import check_budget, check_change_bound, check_demand
 from .report import INFEASIBLE, SolveReport, already_satisfied, budget_report, demand_report
 from .scores import edge_scores
-from .tree import EdgeAttrs, RootedTree, raised_to_u, snap_unchanged, srd
+from .tree import EdgeAttrs, RootedTree, modified_edges, raised_to_u, srd
 
 _FLOAT_MAX = sys.float_info.max
 
 
 def _raise_all(tree, attrs, budget) -> dict:
-    """Raise every edge by min(budget / c(e), u(e) - w(e)), not yet snapped."""
+    """Raise every edge by min(budget / c(e), u(e) - w(e))."""
     w, u, c = attrs.w, attrs.u, attrs.c
     if not isinstance(budget, float) and budget > _FLOAT_MAX:
         # an int or Fraction this large cannot be divided by a float cost;
@@ -82,7 +82,7 @@ def sdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, budget, max_changes: int) -> 
 
     w, c = attrs.w, attrs.c
     weights = _raise_all(tree, attrs, budget)
-    mods = snap_unchanged(weights, attrs)
+    mods = modified_edges(weights, attrs)
     if len(mods) > max_changes:
         counts, raised = tree.counts, weights
         # ids ascend and the sort is stable, so ties keep the smaller id
@@ -132,10 +132,14 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
 
     Only +, -, *, / and comparisons are used, so exact rationals stay
     exact.  The demand is reachable exactly when ``srd`` of the vector that
-    raises the N largest S to u reaches it.  That vector is the answer, at
-    the dearest F, when float dust keeps the gains below delta, and when
-    the demand is exactly ``srd`` of all of u, which interpolation could
-    miss by an ulp; so the witness reaches it.
+    raises the N largest S to u reaches it: the table's ``capped_reach``,
+    the gate ``mcsdiptc_bh`` opens with too, so the two norms call the same
+    demands infeasible.  That vector is the answer, at the dearest F, when
+    float dust keeps the gains below delta, and when the demand is exactly
+    ``srd`` of all of u, which interpolation could miss by an ulp; so the
+    witness reaches it.  Every answer takes its ``breakpoint`` from its
+    cost by bisection of the sorted F, so the bracket holds in floats too,
+    and its changed edges are those whose weight differs from w.
     """
     check_demand(demand)
     check_change_bound(max_changes, tree.n)
@@ -144,19 +148,24 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
     w_total = srd(tree, w)
     if demand <= w_total:
         return already_satisfied(attrs)
+    N = max_changes
+    table = edge_scores(tree, attrs)
+    reach = table.capped_reach(N)
+    if reach < demand:
+        return INFEASIBLE
     delta = demand - w_total
 
-    table = edge_scores(tree, attrs)
     F, S, nu = table.F, table.S, table.nu
     order = table.sorted_by_F
     F_sorted = list(map(F.__getitem__, order))
     n = len(order)
-    N = max_changes
 
-    if n - countOf(S.values(), 0) <= N:
-        u_total = srd(tree, u)
-        if u_total < demand:
-            return INFEASIBLE
+    def answer(weights, raised, cost, probes=0):
+        # the k with F(k) < cost <= F(k + 1), as F_sorted[k - 1] is F(k)
+        return demand_report(weights, modified_edges(weights, attrs, raised), cost,
+                             probes, bisect_left(F_sorted, cost))
+
+    if table.gaining <= N:
         # tail[k]: nu summed over order[k:], the slope of covered() past kink k
         tail = list(accumulate(map(nu.__getitem__, reversed(order)), initial=0))
         tail.reverse()
@@ -165,14 +174,12 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
         covered = [0]
         covered += map(add, saturated, map(mul, F_sorted, islice(tail, 1, None)))
 
-        # covered is non-decreasing and covered[n] = u_total - w_total >=
+        # covered is non-decreasing and covered[n] = srd(u) - w_total >=
         # delta, so the bisection lands inside the table unless float dust
-        # leaves covered[n] a hair below the delta that u_total cleared
+        # leaves covered[n] a hair below the delta that srd(u) cleared
         k = bisect_left(covered, delta) - 1
-        if k == n or demand == u_total:
-            weights = dict(u)
-            return demand_report(weights, snap_unchanged(weights, attrs), F_sorted[-1],
-                                 breakpoint=k)
+        if k == n or demand == reach:
+            return answer(dict(u), None, F_sorted[-1])
 
         level = F_sorted[k - 1] if k else 0
         rem = delta - covered[k]
@@ -182,15 +189,9 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
             # rounding may overshoot u by a few ulps on the edge due next
             weights[e] = min(u[e], w[e] + level / c[e] + rem / (c[e] * rs))
         # rounding may put the cost a hair past the next kink, as below
-        cost = min(level + rem / rs, F_sorted[k])
-        return demand_report(weights, snap_unchanged(weights, attrs), cost, breakpoint=k)
+        return answer(weights, None, min(level + rem / rs, F_sorted[k]))
 
     by_S, by_nu = table.sorted_by_S, table.sorted_by_nu
-    full = raised_to_u(attrs, by_S[:N])
-    reach = srd(tree, full)
-    if reach < demand:
-        return INFEASIBLE
-
     F_by_S = [F[e] for e in by_S]
     F_by_nu = [F[e] for e in by_nu]
 
@@ -221,9 +222,8 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
             lo = mid + 1
     k = lo
     if k == n or reach == demand == srd(tree, u):
-        cost = max(F[e] for e in by_S[:N])
-        return demand_report(full, snap_unchanged(full, attrs, by_S[:N]), cost,
-                             probes, k)
+        top = by_S[:N]
+        return answer(raised_to_u(attrs, top), top, max(F[e] for e in top), probes)
 
     # Inside the bracket: j of the N come from the saturated constants A,
     # the other N - j from the unsaturated lines B * C; j = N is a
@@ -245,5 +245,4 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
     weights = dict(w)
     for e in chosen:
         weights[e] = u[e] if F[e] <= cost else min(u[e], w[e] + cost / c[e])
-    return demand_report(weights, snap_unchanged(weights, attrs, chosen), cost,
-                         probes, k)
+    return answer(weights, chosen, cost, probes)

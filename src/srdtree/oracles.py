@@ -250,7 +250,7 @@ def witness_feasible(tree: RootedTree, attrs: EdgeAttrs, weights: dict, *,
         v = weights[e]
         if v < attrs.w[e] - slack or v > attrs.u[e] + slack:
             return False
-        if abs(v - attrs.w[e]) > 1e-12:
+        if v != attrs.w[e]:
             changed.append(e)
             price = (attrs.c[e] * (v - attrs.w[e]) if norm == "linf"
                      else attrs.c[e])

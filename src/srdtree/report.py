@@ -4,8 +4,8 @@ A solve ends in one of four ways: the demand is out of reach
 (``INFEASIBLE``), the starting weights already meet it
 (``already_satisfied``), a budget solve reports the distance sum it
 reached (``budget_report``), or a demand solve reports the cost it paid
-(``demand_report``).  The solvers snap the edges they raised with
-``snap_unchanged`` and pass the set of changed edges in.
+(``demand_report``).  The solvers pass in the set of changed edges, the
+edges whose weight differs from w, from ``modified_edges``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ class SolveReport:
     """What a solver hands back.
 
     weights covers every edge exactly when the status is not INFEASIBLE,
-    with unmodified edges kept bit-identical to the input.  objective is
+    and an edge is in modified_edges exactly when its weight differs from
+    its input weight, with no tolerance for floats.  objective is
     the achieved distance sum for the budget problems and equals cost for
     the demand problems.  cost is the norm value of the returned vector
     (scaled largest raise, or the dearest changed edge), and math.inf marks

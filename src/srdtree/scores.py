@@ -7,15 +7,17 @@ For an edge e with leaf count L(e) and attributes (w, u, c):
     nu(e) = L(e) / c(e)             distance gained per unit of cost
 
 so S(e) = nu(e) * F(e).  These are the only places the three are written
-out; every solver reads them from one table.  Every sort breaks ties by
+out; every solver reads them from one table, and both capped demand
+solvers read their feasibility gate from it.  Every sort breaks ties by
 ascending edge id.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from operator import countOf
 
-from .tree import EdgeAttrs, RootedTree
+from .tree import EdgeAttrs, RootedTree, raised_to_u, srd
 
 
 class EdgeScoreTable:
@@ -28,6 +30,7 @@ class EdgeScoreTable:
     """
 
     def __init__(self, tree: RootedTree, attrs: EdgeAttrs):
+        self._tree = tree
         self._counts = tree.counts
         self._attrs = attrs
 
@@ -50,6 +53,23 @@ class EdgeScoreTable:
     def nu(self) -> dict:
         c = self._attrs.c
         return {e: L / c[e] for e, L in self._counts.items()}
+
+    @cached_property
+    def gaining(self) -> int:
+        """How many edges have a positive full-raise gain S, that is u > w."""
+        return len(self.S) - countOf(self.S.values(), 0)
+
+    def capped_reach(self, N: int):
+        """``srd`` of the vector that raises the N edges of largest S to u.
+
+        No vector inside the bounds that changes at most N edges reaches
+        more, so both price norms open a capped demand solve with this
+        gate and answer a demand above it as infeasible.  When at most N
+        edges gain at all, that vector is u and no sort is needed.
+        """
+        if self.gaining <= N:
+            return srd(self._tree, self._attrs.u)
+        return srd(self._tree, raised_to_u(self._attrs, self.sorted_by_S[:N]))
 
     @cached_property
     def sorted_by_F(self) -> tuple:

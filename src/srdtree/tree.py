@@ -4,7 +4,9 @@ An edge is identified with the node it enters, so a tree with n edges has
 n + 1 nodes and edge ids are the dense integers 1..n.  Attribute tables and
 weight vectors are plain dicts keyed by edge id; values are floats by
 default, and exact rationals (fractions.Fraction) work everywhere because
-nothing below ever leaves +, -, *, / and comparisons.
+nothing below ever leaves +, -, *, / and comparisons.  An edge counts as
+changed exactly when its weight differs from its starting weight, with no
+tolerance in either mode; ``modified_edges`` is that one test.
 
 The target quantity throughout the package is the sum of root-leaf
 distances: the total, over all leaves, of the weight of the path from the
@@ -39,10 +41,6 @@ from .errors import (
     MissingEdgeWeight,
     MultipleRoots,
 )
-
-# Absolute slack under which two float weights count as equal when deciding
-# whether an edge was modified.  Exact values (Fraction, int) compare exactly.
-HAMMING_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -251,37 +249,20 @@ def raised_to_u(attrs: EdgeAttrs, edges) -> dict:
     return weights
 
 
-def snap_unchanged(weights: dict, attrs: EdgeAttrs, raised=None) -> frozenset:
-    """Put back the exact starting weight wherever a raise is below the slack.
-
-    Works in place on ``weights``, a vector the caller owns, and returns
-    the frozenset of edges that still differ, so an edge outside that set
-    carries a weight bit-identical to its input weight.  ``raised`` names
-    the only edges whose weight may differ from w (the rest must hold w
-    already); by default every edge of ``weights`` is checked.
-    """
-    w = attrs.w
-    changed = []
-    for eid in weights if raised is None else raised:
-        base = w[eid]
-        diff = weights[eid] - base
-        if abs(diff) > HAMMING_EPS if isinstance(diff, float) else diff != 0:
-            changed.append(eid)
-        else:
-            weights[eid] = base
-    return frozenset(changed)
-
-
-def modified_edges(weights: dict, attrs: EdgeAttrs) -> frozenset:
+def modified_edges(weights: dict, attrs: EdgeAttrs, raised=None) -> frozenset:
     """Edges whose weight differs from the starting weight.
 
-    Float entries use the absolute HAMMING_EPS slack; exact entries compare
-    exactly.  Missing entries raise MissingEdgeWeight.
+    An edge is changed exactly when weights[e] != w[e], for floats and
+    exact values alike; this is the one test of the package.  ``raised``
+    names the only edges whose weight may differ from w, as a solver knows
+    them; by default every edge is checked, and a missing entry raises
+    MissingEdgeWeight.
     """
-    for eid in attrs.w:
-        if eid not in weights:
-            raise MissingEdgeWeight(f"weight vector lacks edge {eid}")
-    return snap_unchanged({eid: weights[eid] for eid in attrs.w}, attrs)
+    w = attrs.w
+    try:
+        return frozenset(e for e in (w if raised is None else raised) if weights[e] != w[e])
+    except KeyError as err:
+        raise MissingEdgeWeight(f"weight vector lacks edge {err.args[0]}") from None
 
 
 def hamming_count(weights: dict, attrs: EdgeAttrs) -> int:

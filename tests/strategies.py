@@ -21,6 +21,21 @@ def star(costs, slacks, num=float):
     return build_tree(edges, attrs), attrs
 
 
+def one_edge(w, u, c=1.0):
+    """A single edge from the root s to leaf t with the given w, u and c."""
+    attrs = EdgeAttrs(w={1: w}, u={1: u}, c={1: c})
+    return build_tree([(1, "s", "t")], attrs), attrs
+
+
+def tiny_gap_star():
+    """Two leaves: edge 1 can rise by only 4e-13 at cost 10, edge 2 by 1 at
+    cost 1, both from w = 1.  Reaching srd(u) needs both edges changed."""
+    edges = [(1, "s", "t1"), (2, "s", "t2")]
+    attrs = EdgeAttrs(w={1: 1.0, 2: 1.0}, u={1: 1.0 + 4e-13, 2: 2.0},
+                      c={1: 10.0, 2: 1.0})
+    return build_tree(edges, attrs), attrs
+
+
 # (slacks, cap, chosen) for a star whose gains equal its slacks: the cap
 # largest gains are chosen, ties going to the smaller id
 STAR_TIES = [
@@ -99,5 +114,30 @@ def tied_trees(draw, num=Fraction, max_edges=10):
         w[eid] = num(draw(small))
         u[eid] = w[eid] + draw(small)
         c[eid] = num(draw(st.integers(min_value=1, max_value=3)))
+    attrs = EdgeAttrs(w=w, u=u, c=c)
+    return build_tree(edges, attrs), attrs
+
+
+@st.composite
+def dusty_trees(draw, max_edges=8):
+    """Float trees whose gaps u - w are often 0, a few ulps or tied.
+
+    w and c come from short lists, so full-raise gains and costs tie, and
+    about half the gaps are 0 or below 1e-12.
+    """
+    edges = draw(edge_lists(max_edges=max_edges))
+    base = st.sampled_from([0.0, 1.0, 2.5, 1e6])
+    gap = st.one_of(
+        st.sampled_from([0.0, 5e-324, 2.2e-16, 4e-13, 1e-12]),
+        st.sampled_from([1.0, 2.0, 3.0]),
+        st.floats(min_value=0.0, max_value=50.0),
+    )
+    cost = st.one_of(st.sampled_from([1.0, 2.0, 10.0]),
+                     st.floats(min_value=0.01, max_value=20.0))
+    w, u, c = {}, {}, {}
+    for eid, _, _ in edges:
+        w[eid] = draw(base)
+        u[eid] = w[eid] + draw(gap)
+        c[eid] = draw(cost)
     attrs = EdgeAttrs(w=w, u=u, c=c)
     return build_tree(edges, attrs), attrs

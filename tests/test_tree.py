@@ -31,7 +31,7 @@ from srdtree import (
 )
 from srdtree.instance import SHAPES
 
-from strategies import tree_and_attrs
+from strategies import NUMS, tree_and_attrs
 
 
 def parent_edges(tree):
@@ -238,18 +238,14 @@ class TestModifiedEdges:
         assert modified_edges(weights, attrs) == frozenset({2})
         assert hamming_count(weights, attrs) == 1
 
-    def test_float_dust_is_not_a_change(self, broom):
-        tree, attrs = broom
-        weights = dict(attrs.w)
-        weights[1] = attrs.w[1] + 5e-13
-        assert modified_edges(weights, attrs) == frozenset()
-
-    def test_exact_dust_is_a_change(self):
-        attrs = EdgeAttrs(
-            w={1: Fraction(1)}, u={1: Fraction(2)}, c={1: Fraction(1)}
-        )
-        weights = {1: Fraction(1) + Fraction(1, 10**15)}
+    @pytest.mark.parametrize("num", NUMS)
+    def test_dust_is_a_change(self, num):
+        # one notion for both modes: any weight that differs from w changed
+        attrs = EdgeAttrs(w={1: num(1)}, u={1: num(2)}, c={1: num(1)})
+        weights = {1: num(1) + num(5e-13)}
+        assert weights[1] != attrs.w[1]
         assert modified_edges(weights, attrs) == frozenset({1})
+        assert hamming_count(weights, attrs) == 1
 
     def test_missing_entry(self, broom):
         tree, attrs = broom
