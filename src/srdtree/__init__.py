@@ -43,12 +43,11 @@ from .instance import (
 )
 from .linf import mcsdipt_inf, mcsdiptc_inf, sdipt_inf, sdiptc_inf
 from .report import SolveReport, Status
-from .scores import EdgeScoreTable, edge_scores
+from .scores import EdgeScoreTable
 from .tree import (
     EdgeAttrs,
     RootedTree,
     build_tree,
-    hamming_count,
     leaf_counts,
     modified_edges,
     srd,
@@ -86,9 +85,7 @@ __all__ = [
     "UnknownProblemTag",
     "build_tree",
     "digest",
-    "edge_scores",
     "generate",
-    "hamming_count",
     "leaf_counts",
     "mcsdipt_bh",
     "mcsdipt_inf",

@@ -95,6 +95,7 @@ def _emit_report(args, report: SolveReport, elapsed: float, instance_digest: str
             "cost": None if report.cost == float("inf") else report.cost,
             "modified_edges": mods,
             "iterations": report.iterations,
+            "breakpoint": report.breakpoint,
             "wall_time_seconds": elapsed,
             "instance_digest": instance_digest,
         }
@@ -107,6 +108,7 @@ def _emit_report(args, report: SolveReport, elapsed: float, instance_digest: str
     print(f"cost {_fmt_value(report.cost)}", file=out)
     print(f"modified_edges {','.join(str(e) for e in mods)}", file=out)
     print(f"iterations {report.iterations}", file=out)
+    print(f"breakpoint {report.breakpoint}", file=out)
     print(f"wall_time_seconds {elapsed!r}", file=out)
     print(f"instance_digest {instance_digest}", file=out)
 
@@ -133,15 +135,8 @@ def solve_cmd(args, out=None) -> int:
 
 def gen_cmd(args, out=None) -> int:
     out = out if out is not None else sys.stdout
-    config = GenConfig(
-        node_count=args.nodes,
-        seed=args.seed,
-        w_max=args.w_max,
-        u_slack_max=args.u_slack_max,
-        c_max=args.c_max,
-        shape=args.shape,
-    )
-    text = serialize(generate(config))
+    text = serialize(generate(GenConfig(node_count=args.nodes, seed=args.seed,
+                                        shape=args.shape)))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -330,9 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--nodes", type=int, required=True)
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--shape", choices=SHAPES, default="uniform-random-parent")
-    p_gen.add_argument("--w-max", type=float, default=10.0)
-    p_gen.add_argument("--u-slack-max", type=float, default=10.0)
-    p_gen.add_argument("--c-max", type=float, default=10.0)
     p_gen.add_argument("--out", default=None)
     p_gen.set_defaults(func=gen_cmd)
 

@@ -55,12 +55,14 @@ from .errors import (
     InstanceSyntaxError,
     MissingHeader,
 )
-from .scores import edge_scores
+from .scores import EdgeScoreTable
 from .tree import EdgeAttrs, RootedTree, _assemble, srd
 
 SHAPES = ("uniform-random-parent", "caterpillar", "star", "binary")
 
 _MASK = (1 << 64) - 1
+# w, the slack u - w and c are each drawn from a range of this width
+_SPAN = 10.0
 
 
 class SplitMix64:
@@ -107,13 +109,10 @@ class InstanceFile:
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Generator settings; attribute ranges must be positive."""
+    """Generator settings: tree size, seed and shape."""
 
     node_count: int
     seed: int
-    w_max: float = 10.0
-    u_slack_max: float = 10.0
-    c_max: float = 10.0
     shape: str = "uniform-random-parent"
 
 
@@ -378,8 +377,6 @@ def generate(config: GenConfig) -> InstanceFile:
         raise BadConfig("need at least two nodes")
     if config.shape not in SHAPES:
         raise BadConfig(f"unknown shape {config.shape!r}")
-    if config.w_max <= 0 or config.u_slack_max <= 0 or config.c_max <= 0:
-        raise BadConfig("attribute ranges must be positive")
 
     n = config.node_count - 1
     rng = SplitMix64(config.seed)
@@ -388,14 +385,14 @@ def generate(config: GenConfig) -> InstanceFile:
 
     w, u, c = {}, {}, {}
     for i in ids:
-        w[i] = rng.next_float() * config.w_max
-        u[i] = w[i] + rng.next_float() * config.u_slack_max
-        c[i] = config.c_max * (1.0 - rng.next_float())
+        w[i] = rng.next_float() * _SPAN
+        u[i] = w[i] + rng.next_float() * _SPAN
+        c[i] = _SPAN * (1.0 - rng.next_float())
 
     attrs = EdgeAttrs(w, u, c)
     w_total = srd(tree, w)
     u_total = srd(tree, u)
-    top_raise = max(edge_scores(tree, attrs).F.values())
+    top_raise = max(EdgeScoreTable(tree, attrs).F.values())
 
     budget = top_raise * (1.0 - rng.next_float())
     demand = w_total + rng.next_float() * (u_total - w_total)

@@ -19,8 +19,8 @@ solver brackets C between two consecutive saturation costs F(e) by
 bisection and solves the linear piece inside the bracket in closed form,
 with no loop, cap or tolerance; when at most N edges can gain at all, the
 cap cannot bind and one table of the uncapped gains serves the
-bisection.  The scores F, S and nu come from ``edge_scores``, and every
-report from ``report``.
+bisection.  The scores F, S and nu come from ``EdgeScoreTable``, and
+every report from ``report``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from operator import add, ge, lt, mul
 
 from .errors import check_budget, check_change_bound, check_demand
 from .report import INFEASIBLE, SolveReport, already_satisfied, budget_report, demand_report
-from .scores import edge_scores
+from .scores import EdgeScoreTable
 from .tree import EdgeAttrs, RootedTree, modified_edges, raised_to_u, srd
 
 _FLOAT_MAX = sys.float_info.max
@@ -149,7 +149,7 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
     if demand <= w_total:
         return already_satisfied(attrs)
     N = max_changes
-    table = edge_scores(tree, attrs)
+    table = EdgeScoreTable(tree, attrs)
     reach = table.capped_reach(N)
     if reach < demand:
         return INFEASIBLE

@@ -42,10 +42,13 @@ class SolveReport:
     (scaled largest raise, or the dearest changed edge), and math.inf marks
     an infeasible demand.
 
-    breakpoint records the index the demand solvers bracket their answer
-    with, so an outside check can rebuild the whole solution from it; under
-    the scaled-raise norm it is the k with F(k) < cost <= F(k + 1), F sorted
-    ascending and F(0) = 0.  iterations counts the bisection probes of the
+    breakpoint records the index a feasible demand answer is built from, so
+    an outside check can rebuild the whole solution from it.  Under the
+    scaled-raise norm it is the F position of the cost, the k with
+    F(k) < cost <= F(k + 1), F sorted ascending and F(0) = 0.  Under the
+    bottleneck norm it is the prefix length: the answer raises the N
+    largest full-raise gains among the first breakpoint edges in (c, id)
+    order.  iterations counts the bisection probes of the
     scaled-raise demand solvers, 0 when at most N edges can gain, and stays
     0 elsewhere.
     """

@@ -87,7 +87,3 @@ class EdgeScoreTable:
     def sorted_by_c(self) -> tuple:
         return tuple(sorted(self._counts, key=self._attrs.c.__getitem__))
 
-
-def edge_scores(tree: RootedTree, attrs: EdgeAttrs) -> EdgeScoreTable:
-    """The score table of the tree's leaf counts; nothing is computed yet."""
-    return EdgeScoreTable(tree, attrs)

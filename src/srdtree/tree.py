@@ -264,7 +264,3 @@ def modified_edges(weights: dict, attrs: EdgeAttrs, raised=None) -> frozenset:
     except KeyError as err:
         raise MissingEdgeWeight(f"weight vector lacks edge {err.args[0]}") from None
 
-
-def hamming_count(weights: dict, attrs: EdgeAttrs) -> int:
-    """How many edges changed relative to the starting weights."""
-    return len(modified_edges(weights, attrs))

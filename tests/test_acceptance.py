@@ -1,4 +1,4 @@
-"""Acceptance gate: nine campaign checks over the whole solver family.
+"""Acceptance gate: ten campaign checks over the whole solver family.
 
 Each test prints and records one PASS/FAIL line; the recorded lines are
 echoed at the end of the pytest run.  Sizes follow the package convention
@@ -27,6 +27,7 @@ from srdtree import (
     srd,
 )
 from srdtree.cli import ORACLE_CHANGE_CAP, _check_pair, main, run_bench
+from srdtree.oracles import witness_feasible
 from srdtree.instance import SHAPES
 
 from certificates import capped_demand_faults
@@ -372,4 +373,46 @@ def test_c9_breakpoint_reconstruction(record):
     ok = not failures
     record("C9 reported breakpoint reconstructs the exact rational optimum, "
            "500 instances", ok)
+    assert not failures, failures[:5]
+
+
+def test_c10_boundary_demands_are_answered(record):
+    # Every demand solver is total at the edges of the reachable range:
+    # D = srd(w) and D = srd(u) with N = n, and D = srd of the vector that
+    # raises the N largest full-raise gains S to u, N = max(1, n // 10) < n.
+    # Each answer must be Feasible or AlreadySatisfied with a witness inside
+    # the raw constraints; a call that raises fails the test.
+    start = time.perf_counter()
+    rng = SplitMix64(1010)
+    per_shape = 2000
+    failures = []
+    answers = 0
+    for shape in SHAPES:
+        for trial in range(per_shape):
+            inst = draw_instance(rng, 121, shape=shape)
+            tree, attrs = inst.tree, inst.attrs
+            w, u, n = attrs.w, attrs.u, tree.n
+            cap = max(1, n // 10)
+            best = sorted(tree.edge_ids,
+                          key=lambda e: (-tree.counts[e] * (u[e] - w[e]), e))
+            top_raise = {**w, **{e: u[e] for e in best[:cap]}}
+            cases = [(srd(tree, w), n, True), (srd(tree, u), n, True),
+                     (srd(tree, top_raise), cap, False)]
+            for demand, n_changes, uncapped_too in cases:
+                solves = [("linf", mcsdiptc_inf, (n_changes,)),
+                          ("bh", mcsdiptc_bh, (n_changes,))]
+                if uncapped_too:
+                    solves += [("linf", mcsdipt_inf, ()), ("bh", mcsdipt_bh, ())]
+                for norm, solver, extra in solves:
+                    answers += 1
+                    rep = solver(tree, attrs, demand, *extra)
+                    if rep.status is Status.INFEASIBLE:
+                        failures.append((shape, trial, solver.__name__, demand))
+                    elif not witness_feasible(tree, attrs, rep.weights, demand=demand,
+                                              max_changes=n_changes, norm=norm):
+                        failures.append((shape, trial, solver.__name__, "witness"))
+    elapsed = time.perf_counter() - start
+    ok = not failures
+    record(f"C10 demand solvers total at srd(w), srd(u) and the top-N reach, "
+           f"{answers} answers on {per_shape} instances per shape, {elapsed:.1f}s", ok)
     assert not failures, failures[:5]

@@ -1,7 +1,8 @@
 """The answers of all eight solvers on a fixed generated set, pinned by digest.
 
-Any change that moves one generated answer, down to the repr of one weight,
-a reported breakpoint or a probe count, changes the digest.  The set holds
+Each solver's answers have their own digest, so a change that moves one
+generated answer, down to the repr of one weight, a reported breakpoint or
+a probe count, names the solver it moved.  The set holds
 300 generated trees of 2-200 edges in all four shapes, solved at the
 generator's budget K and demand D, and at the benchmark's demand
 D = w(T) + 1/2 * (sum of the N largest full-raise gains S), for N in
@@ -25,13 +26,23 @@ from srdtree import (
 )
 from srdtree.instance import SHAPES
 
-DIGEST = "d03783fbcaff8678b43ae862dad7cfb315047600562535906c250b15044b6938"
+DIGESTS = {
+    "mcsdipt_bh": "850087dd61f3945290a56d9d0ab649eb988905f69c7c026e6002d5d1a1f7266d",
+    "mcsdipt_inf": "26072116ce34bd868ce046f3aefa4b203752906c2d6a54172c5b81ccc78d2bd6",
+    "mcsdiptc_bh": "819b395a10895c5cd29cc5469b139f18fc11593bb5966977081654c0443db427",
+    "mcsdiptc_inf": "c3d8036afc11dd914d744a388848d6f40c1295930d22515ca5a6e4b0112a8ff4",
+    "sdipt_bh": "ca96e3b411a2421ff944612a061e980deee4adfe1c58dc2ffc9119ab3e85e0b3",
+    "sdipt_inf": "c7bced9eeb5d1d728b1eac34c3240bdffc5069e21a47644590291b62e5f0a773",
+    "sdiptc_bh": "e939c5b37efc011b3e41af3cf73c3344b416e5fe59ca26b111d4765db508a909",
+    "sdiptc_inf": "511ebdfce409f093d090ac21376f1f0c4d89ec4ef32921f01cb4d792cc460f1f",
+}
 
 
 def _line(name, arg, cap, rep):
     weights = None if rep.weights is None else [repr(rep.weights[e]) for e in sorted(rep.weights)]
-    return repr((name, repr(arg), cap, rep.status.value, repr(rep.cost), repr(rep.objective),
-                 sorted(rep.modified_edges), rep.iterations, rep.breakpoint, weights))
+    return name, repr((name, repr(arg), cap, rep.status.value, repr(rep.cost),
+                       repr(rep.objective), sorted(rep.modified_edges), rep.iterations,
+                       rep.breakpoint, weights))
 
 
 def _half_top_demand(tree, attrs, cap):
@@ -66,8 +77,8 @@ def answer_lines():
 
 
 def test_generated_answers_are_pinned():
-    h = hashlib.sha256()
-    for line in answer_lines():
-        h.update(line.encode())
-        h.update(b"\n")
-    assert h.hexdigest() == DIGEST
+    hashes = {name: hashlib.sha256() for name in DIGESTS}
+    for name, line in answer_lines():
+        hashes[name].update(line.encode())
+        hashes[name].update(b"\n")
+    assert {name: h.hexdigest() for name, h in hashes.items()} == DIGESTS

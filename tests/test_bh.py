@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -21,7 +22,7 @@ from srdtree import (
 
 from srdtree.instance import SHAPES
 
-from strategies import NUMS, STAR_TIES, star, tiny_gap_star, tree_and_attrs
+from strategies import NUMS, STAR_TIES, star, tied_trees, tiny_gap_star, tree_and_attrs
 
 
 class TestBudgetMax:
@@ -114,7 +115,7 @@ class TestDemandMin:
         assert rep.objective == 1.0
         assert rep.modified_edges == frozenset({1, 3})
         assert srd(tree, rep.weights) == 12.0
-        assert rep.breakpoint == 1
+        assert rep.breakpoint == 2
 
     def test_demand_already_met(self, broom):
         tree, attrs = broom
@@ -257,6 +258,48 @@ class TestDemandMinCapped:
         capped = mcsdiptc_bh(tree, attrs, demand, cap)
         if capped.status is Status.FEASIBLE and free.status is Status.FEASIBLE:
             assert capped.cost >= free.cost
+
+
+class TestBreakpointReconstruction:
+    """The reported prefix length alone rebuilds every bh demand answer.
+
+    Among the first ``breakpoint`` edges in (c, id) order, the N largest
+    full-raise gains S, ties to the smaller id, are raised to u.  In exact
+    mode that prefix is the shortest one whose top N gains cover the gap.
+    """
+
+    @pytest.mark.parametrize("trees, exact", [
+        pytest.param(tree_and_attrs(), False, id="float"),
+        pytest.param(tree_and_attrs(exact=True), True, id="Fraction"),
+        pytest.param(tied_trees(num=float), False, id="float-ties"),
+        pytest.param(tied_trees(num=Fraction), True, id="Fraction-ties"),
+    ])
+    @given(data=st.data())
+    def test_prefix_rebuilds_the_weights(self, trees, exact, data):
+        tree, attrs = data.draw(trees)
+        w, u, c = attrs.w, attrs.u, attrs.c
+        S = {e: L * (u[e] - w[e]) for e, L in tree.counts.items()}
+        order = sorted(tree.edge_ids, key=lambda e: (c[e], e))
+        cap = data.draw(st.integers(min_value=1, max_value=tree.n))
+
+        def top(k):
+            return sorted(order[:k], key=lambda e: (-S[e], e))[:cap]
+
+        w_total = srd(tree, w)
+        reach = srd(tree, {**w, **{e: u[e] for e in top(tree.n)}})
+        demand = w_total + (reach - w_total) * data.draw(st.integers(1, 64)) / 64
+        delta = demand - w_total
+        reps = [mcsdiptc_bh(tree, attrs, demand, cap)]
+        if cap == tree.n:
+            reps.append(mcsdipt_bh(tree, attrs, demand))
+        for rep in reps:
+            if rep.status is not Status.FEASIBLE:
+                continue
+            k = rep.breakpoint
+            assert {**w, **{e: u[e] for e in top(k)}} == rep.weights
+            if exact:
+                assert sum(S[e] for e in top(k)) >= delta
+                assert sum(S[e] for e in top(k - 1)) < delta
 
 
 class TestExactReachableBoundary:

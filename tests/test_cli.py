@@ -83,6 +83,20 @@ class TestSolve:
         assert payload["objective"] is None
         assert payload["cost"] is None
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["--problem", "mcsdipt", "--norm", "bh", "--d", "9"], 2),
+        (["--problem", "mcsdiptc", "--norm", "bh", "--d", "9", "--n", "1"], None),
+        (["--problem", "mcsdipt", "--norm", "linf", "--d", "4"], None),
+        (["--problem", "sdiptc", "--norm", "linf", "--k", "2", "--n", "1"], None),
+    ], ids=["feasible", "infeasible", "already-satisfied", "budget"])
+    def test_breakpoint_follows_iterations(self, broom_file, capsys, argv, expected):
+        main(["solve", "--instance", broom_file, "--json"] + argv)
+        assert json.loads(capsys.readouterr().out)["breakpoint"] == expected
+        main(["solve", "--instance", broom_file] + argv)
+        lines = capsys.readouterr().out.splitlines()
+        at = lines.index(f"breakpoint {expected}")
+        assert lines[at - 1].startswith("iterations ")
+
     def test_missing_file(self, capsys):
         rc = main(["solve", "--problem", "sdipt", "--norm", "linf",
                    "--instance", "no/such/file.tif", "--k", "1"])

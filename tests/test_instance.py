@@ -289,5 +289,3 @@ class TestGenerate:
             generate(GenConfig(node_count=1, seed=0))
         with pytest.raises(BadConfig):
             generate(GenConfig(node_count=5, seed=0, shape="ladder"))
-        with pytest.raises(BadConfig):
-            generate(GenConfig(node_count=5, seed=0, w_max=0.0))
