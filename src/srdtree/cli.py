@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import bh, linf, oracles
-from .errors import MissingParam, SrdTreeError
+from .errors import BadConfig, MissingParam, SrdTreeError
 from .instance import (
     SHAPES,
     GenConfig,
@@ -219,6 +219,8 @@ def _check_pair(problem: str, norm: str, inst: InstanceFile, trial_changes: int)
 
 def verify_cmd(args, out=None) -> int:
     out = out if out is not None else sys.stdout
+    if args.max_n < 2:
+        raise BadConfig(f"--max-n {args.max_n} is below 2, the fewest edges a trial draws")
     problems = [args.problem] if args.problem else list(PROBLEMS)
     norms = [args.norm] if args.norm else list(NORMS)
     rng = SplitMix64(args.seed)
@@ -265,6 +267,8 @@ def run_bench(sizes, reps: int, seed: int):
     (budget in (0, max raise], demand in [w(T), u(T)), change bound
     uniform in 1..n).
     """
+    if reps < 1:
+        raise BadConfig(f"--reps {reps} is below 1, so there is nothing to time")
     rng = SplitMix64(seed)
     rows = []
     for size in sizes:

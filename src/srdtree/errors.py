@@ -126,7 +126,7 @@ class BoundViolation(SrdTreeError):
 
 
 class BadConfig(SrdTreeError):
-    """A generator configuration is unusable."""
+    """A generator, ``verify`` or ``bench`` configuration is unusable."""
 
 
 # ---- command line ------------------------------------------------------------

@@ -8,26 +8,22 @@ Four problems share it:
     mcsdipt_inf   reach distance sum D as cheaply as possible
     mcsdiptc_inf  reach D cheaply while changing at most N edges
 
-The budget problems separate per edge: sdipt_inf is sdiptc_inf with
-every edge allowed to change, and that solver ranks the raised edges only
-when the raise moves more than N of them.  The demand problems are
-parametric in the cost level C: at level C an edge gains at most the
-capped amount min(S(e), nu(e) * C), which never falls as C rises, so the
-optimum is the least C whose N largest gains cover the demanded increase.
-mcsdipt_inf is mcsdiptc_inf with every edge allowed to change.  That
-solver brackets C between two consecutive saturation costs F(e) by
-bisection and solves the linear piece inside the bracket in closed form,
-with no loop, cap or tolerance; when at most N edges can gain at all, the
-cap cannot bind and one table of the uncapped gains serves the
-bisection.  The scores F, S and nu come from ``EdgeScoreTable``, and
-every report from ``report``.
+Every answer is one budget raise at a cost level C, ``_raise_at``: edge e
+gains S(e) when its full raise costs F(e) <= C and nu(e) * C otherwise,
+the N largest gains are kept when more than N edges gain, and a kept edge
+rises to u or to min(u, w + C / c).  The budget problems raise at C = K.
+The demand problems, as the paper solves each minimum-cost problem
+through its budget subproblem, only find the least cost C* whose N
+largest capped gains min(S(e), nu(e) * C) cover the demanded increase,
+and answer with the raise at C*; so a demand answer is, bit for bit, the
+budget answer at its own cost.  The uncapped problems are their capped
+twins with every edge allowed to change.  The scores F, S and nu come
+from ``EdgeScoreTable``, and every report from ``report``.
 """
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left
-from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, compress, islice, repeat
 from operator import add, ge, lt, mul
@@ -35,35 +31,48 @@ from operator import add, ge, lt, mul
 from .errors import check_budget, check_change_bound, check_demand
 from .report import INFEASIBLE, SolveReport, already_satisfied, budget_report, demand_report
 from .scores import EdgeScoreTable
-from .tree import EdgeAttrs, RootedTree, modified_edges, raised_to_u, srd
-
-_FLOAT_MAX = sys.float_info.max
+from .tree import EdgeAttrs, RootedTree, modified_edges, srd
 
 
-def _raise_all(tree, attrs, budget) -> dict:
-    """Raise every edge by min(budget / c(e), u(e) - w(e))."""
+def _raise_at(tree, attrs, level, N, edges=None):
+    """The budget raise at cost ``level``: its weights and the edges it raised.
+
+    At level C edge e gains S(e) when F(e) <= C and nu(e) * C otherwise.
+    When more than N edges gain, only the N largest gains are kept, ties
+    to the smaller id.  A kept edge rises to u when F(e) <= C and to
+    min(u, w + C / c) otherwise; every other edge keeps w.  Only the
+    ``edges`` given, in ascending id order, may gain; by default all of
+    them.  A saturated edge never divides by C, so an int or Fraction C
+    beyond the float range needs no care while every F is a finite float.
+    """
     w, u, c = attrs.w, attrs.u, attrs.c
-    if not isinstance(budget, float) and budget > _FLOAT_MAX:
-        # an int or Fraction this large cannot be divided by a float cost;
-        # exact quotients compare with the gaps just as well
-        budget = Fraction(budget)
-        c = {e: Fraction(v) for e, v in c.items()}
-    weights = {}
-    for e in tree.counts:
-        step = budget / c[e]
-        gap = u[e] - w[e]
-        if gap < step:
-            step = gap
-        weights[e] = w[e] + step if step > 0 else w[e]
-    return weights
+    raised = {}
+    for e in tree.counts if edges is None else edges:
+        we, ue, ce = w[e], u[e], c[e]
+        if ce * (ue - we) <= level:
+            if ue != we:
+                raised[e] = ue
+        elif level:
+            step = we + level / ce
+            raised[e] = step if step < ue else ue
+    if len(raised) > N:
+        counts = tree.counts
+        gain = {e: counts[e] * (u[e] - w[e]) if c[e] * (u[e] - w[e]) <= level
+                else counts[e] / c[e] * level for e in raised}
+        # ids ascend and the sort is stable, so ties keep the smaller id
+        raised = {e: raised[e] for e in sorted(gain, key=gain.__getitem__, reverse=True)[:N]}
+    weights = dict(w)
+    weights.update(raised)
+    return weights, raised
 
 
 def sdipt_inf(tree: RootedTree, attrs: EdgeAttrs, budget) -> SolveReport:
     """Spend at most ``budget`` on the scaled largest raise, maximize the sum.
 
-    Each edge is independent: raise it by min(budget / c(e), u(e) - w(e)).
-    Always feasible for a finite nonnegative budget; a budget above every
-    full-raise cost raises every edge to u.  This is ``sdiptc_inf`` with
+    Each edge is independent: raise it to u when its full raise costs at
+    most the budget, and by budget / c(e) otherwise.  Always feasible for
+    a finite nonnegative budget; a budget above every full-raise cost
+    raises every edge to u.  This is ``sdiptc_inf`` with
     every edge allowed to change.
     """
     return sdiptc_inf(tree, attrs, budget, tree.n)
@@ -72,25 +81,16 @@ def sdipt_inf(tree: RootedTree, attrs: EdgeAttrs, budget) -> SolveReport:
 def sdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, budget, max_changes: int) -> SolveReport:
     """Budgeted maximization that may change at most ``max_changes`` edges.
 
-    The unconstrained raise of one edge never depends on the others, so
-    when it moves more than max_changes edges the best set is the
-    max_changes edges with the largest raised gain.  The gain of edge e is
-    L(e) times its unconstrained raise; ties fall to the smaller edge id.
+    The raise of one edge never depends on the others, so when it moves
+    more than max_changes edges the best set is the max_changes edges of
+    largest gain: the raise at level K, ``_raise_at``.
     """
     check_budget(budget)
     check_change_bound(max_changes, tree.n)
 
+    weights, raised = _raise_at(tree, attrs, budget, max_changes)
+    mods = modified_edges(weights, attrs, raised)
     w, c = attrs.w, attrs.c
-    weights = _raise_all(tree, attrs, budget)
-    mods = modified_edges(weights, attrs)
-    if len(mods) > max_changes:
-        counts, raised = tree.counts, weights
-        # ids ascend and the sort is stable, so ties keep the smaller id
-        gain = {e: counts[e] * (raised[e] - w[e]) for e in sorted(mods)}
-        mods = frozenset(sorted(gain, key=gain.__getitem__, reverse=True)[:max_changes])
-        weights = dict(w)
-        for e in mods:
-            weights[e] = raised[e]
     cost = max((c[e] * (weights[e] - w[e]) for e in mods), default=0)
     return budget_report(tree, weights, mods, cost)
 
@@ -110,16 +110,17 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
     more than S(e) is impossible and more than nu(e) * C costs more than C.
     The sum top(C) of the N = max_changes largest gains never falls as C
     rises, so the optimum is C* = min{C : top(C) >= delta}, with delta the
-    demanded increase (Megiddo's parametric pattern).  With F sorted
+    demanded increase (Megiddo's parametric pattern).  The solve finds C*
+    and answers with the budget raise at C*, ``_raise_at``.  With F sorted
     ascending and F(0) = 0, ``breakpoint`` is the k with
-    F(k) < C* <= F(k + 1).
+    F(k) < C* <= F(k + 1), read off C* by bisection of the sorted F.
 
     When at most N edges have a positive gain S the cap cannot bind, and
     top(C) = sum over e of L(e) * min(u(e) - w(e), C / c(e)) is linear
     between its kinks at F.  Prefix sums over the F order tabulate it at
-    every kink, one bisection of that table finds k, and C* interpolates
-    inside the bracket: edges with F <= F(k) go to u, the rest to
-    w + C* / c.  ``iterations`` is 0.  Otherwise the solve
+    every kink, one bisection of that table finds k, and C* is F(k) plus
+    the uncovered rest over the slope, nu summed over the edges not yet
+    saturated.  ``iterations`` is 0.  Otherwise the solve
 
     1. bisects over the F order for k, one top() per probe (``iterations``);
     2. inside the bracket the edges with F <= F(k) gain the constants S
@@ -127,25 +128,22 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
        sums of those S and nu sorted descending,
        top(C) = max_j A[j] + C * B[N - j] and
        C* = min over j with B[N - j] > 0 of (delta - A[j]) / B[N - j];
-    3. raises the N edges of largest gain at C*, ties to the smaller id:
-       to u when F <= C*, otherwise to min(u, w + C* / c).
+    3. hands the raise only the N largest-S saturated and the N
+       largest-nu unsaturated edges at C*, the only ones that can be kept.
 
     Only +, -, *, / and comparisons are used, so exact rationals stay
     exact.  The demand is reachable exactly when ``srd`` of the vector that
     raises the N largest S to u reaches it: the table's ``capped_reach``,
     the gate ``mcsdiptc_bh`` opens with too, so the two norms call the same
-    demands infeasible.  That vector is the answer, at the dearest F, when
-    float dust keeps the gains below delta, and when the demand is exactly
-    ``srd`` of all of u, which interpolation could miss by an ulp; so the
-    witness reaches it.  Every answer takes its ``breakpoint`` from its
-    cost by bisection of the sorted F, so the bracket holds in floats too,
-    and its changed edges are those whose weight differs from w.
+    demands infeasible.  When float dust keeps the gains below delta, and
+    when the demand is exactly ``srd`` of all of u, C* is the dearest F of
+    those N edges, where the raise is that vector, so the witness reaches
+    the demand.
     """
     check_demand(demand)
     check_change_bound(max_changes, tree.n)
 
-    w, u, c = attrs.w, attrs.u, attrs.c
-    w_total = srd(tree, w)
+    w_total = srd(tree, attrs.w)
     if demand <= w_total:
         return already_satisfied(attrs)
     N = max_changes
@@ -159,11 +157,7 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
     order = table.sorted_by_F
     F_sorted = list(map(F.__getitem__, order))
     n = len(order)
-
-    def answer(weights, raised, cost, probes=0):
-        # the k with F(k) < cost <= F(k + 1), as F_sorted[k - 1] is F(k)
-        return demand_report(weights, modified_edges(weights, attrs, raised), cost,
-                             probes, bisect_left(F_sorted, cost))
+    probes, edges = 0, None
 
     if table.gaining <= N:
         # tail[k]: nu summed over order[k:], the slope of covered() past kink k
@@ -179,70 +173,62 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
         # leaves covered[n] a hair below the delta that srd(u) cleared
         k = bisect_left(covered, delta) - 1
         if k == n or demand == reach:
-            return answer(dict(u), None, F_sorted[-1])
-
-        level = F_sorted[k - 1] if k else 0
-        rem = delta - covered[k]
-        rs = tail[k]
-        weights = {e: u[e] for e in order[:k]}
-        for e in order[k:]:
-            # rounding may overshoot u by a few ulps on the edge due next
-            weights[e] = min(u[e], w[e] + level / c[e] + rem / (c[e] * rs))
-        # rounding may put the cost a hair past the next kink, as below
-        return answer(weights, None, min(level + rem / rs, F_sorted[k]))
-
-    by_S, by_nu = table.sorted_by_S, table.sorted_by_nu
-    F_by_S = [F[e] for e in by_S]
-    F_by_nu = [F[e] for e in by_nu]
-
-    def split(level):
-        """The N largest-S edges saturated at level, the N largest-nu others."""
-        sat = islice(compress(by_S, map(ge, repeat(level), F_by_S)), N)
-        free = islice(compress(by_nu, map(lt, repeat(level), F_by_nu)), N)
-        return list(sat), list(free)
-
-    def top(level):
-        """Sum of the N largest capped gains at level."""
-        sat, free = split(level)
-        gains = [*map(S.__getitem__, sat),
-                 *map(mul, map(nu.__getitem__, free), repeat(level))]
-        gains.sort(reverse=True)
-        # one addition at a time, as the tables below and srd add
-        return reduce(add, gains[:N], 0)
-
-    # the first position whose F covers delta; tied F cover alike, so the
-    # F just below it is strictly smaller
-    lo, hi, probes = 0, n, 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        probes += 1
-        if top(F_sorted[mid]) >= delta:
-            hi = mid
+            cost = F_sorted[-1]
         else:
-            lo = mid + 1
-    k = lo
-    if k == n or reach == demand == srd(tree, u):
-        top = by_S[:N]
-        return answer(raised_to_u(attrs, top), top, max(F[e] for e in top), probes)
+            level = F_sorted[k - 1] if k else 0
+            # rounding may put the cost a hair past the next kink, as below
+            cost = min(level + (delta - covered[k]) / tail[k], F_sorted[k])
+    else:
+        by_S, by_nu = table.sorted_by_S, table.sorted_by_nu
+        F_by_S = [F[e] for e in by_S]
+        F_by_nu = [F[e] for e in by_nu]
 
-    # Inside the bracket: j of the N come from the saturated constants A,
-    # the other N - j from the unsaturated lines B * C; j = N is a
-    # constant that the bracket's lower end already failed to reach.
-    sat, free = split(F_sorted[k - 1] if k else 0)
-    A = list(accumulate(map(S.__getitem__, sat), initial=0))
-    B = list(accumulate(map(nu.__getitem__, free), initial=0))
-    cost = min((delta - A[j]) / B[N - j]
-               for j in range(max(0, N - len(free)), min(len(sat), N - 1) + 1))
-    # the probe at F(k + 1) counted the edges saturating there as S, the
-    # lines here as nu * F(k + 1); rounding may put the crossing a hair past
-    if cost > F_sorted[k]:
-        cost = F_sorted[k]
+        def split(level):
+            """The N largest-S edges saturated at level, the N largest-nu others."""
+            sat = islice(compress(by_S, map(ge, repeat(level), F_by_S)), N)
+            free = islice(compress(by_nu, map(lt, repeat(level), F_by_nu)), N)
+            return list(sat), list(free)
 
-    sat, free = split(cost)
-    # ids ascend and the sort is stable, so ties keep the smaller id
-    gain = {e: S[e] if F[e] <= cost else nu[e] * cost for e in sorted(sat + free)}
-    chosen = sorted(gain, key=gain.__getitem__, reverse=True)[:N]
-    weights = dict(w)
-    for e in chosen:
-        weights[e] = u[e] if F[e] <= cost else min(u[e], w[e] + cost / c[e])
-    return answer(weights, chosen, cost, probes)
+        def top(level):
+            """Sum of the N largest capped gains at level."""
+            sat, free = split(level)
+            gains = [*map(S.__getitem__, sat),
+                     *map(mul, map(nu.__getitem__, free), repeat(level))]
+            gains.sort(reverse=True)
+            # one addition at a time, as the tables below and srd add
+            return reduce(add, gains[:N], 0)
+
+        # the first position whose F covers delta; tied F cover alike, so the
+        # F just below it is strictly smaller
+        lo, hi = 0, n
+        while lo < hi:
+            mid = (lo + hi) // 2
+            probes += 1
+            if top(F_sorted[mid]) >= delta:
+                hi = mid
+            else:
+                lo = mid + 1
+        k = lo
+        if k == n or reach == demand == srd(tree, attrs.u):
+            cost = max(F[e] for e in by_S[:N])
+        else:
+            # Inside the bracket: j of the N come from the saturated
+            # constants A, the other N - j from the unsaturated lines B * C;
+            # j = N is a constant that the bracket's lower end already
+            # failed to reach.
+            sat, free = split(F_sorted[k - 1] if k else 0)
+            A = list(accumulate(map(S.__getitem__, sat), initial=0))
+            B = list(accumulate(map(nu.__getitem__, free), initial=0))
+            cost = min((delta - A[j]) / B[N - j]
+                       for j in range(max(0, N - len(free)), min(len(sat), N - 1) + 1))
+            # the probe at F(k + 1) counted the edges saturating there as S,
+            # the lines here as nu * F(k + 1); rounding may put the crossing
+            # a hair past
+            cost = min(cost, F_sorted[k])
+        sat, free = split(cost)
+        edges = sorted(sat + free)
+
+    weights, raised = _raise_at(tree, attrs, cost, N, edges)
+    # the k with F(k) < cost <= F(k + 1), as F_sorted[k - 1] is F(k)
+    return demand_report(weights, modified_edges(weights, attrs, raised), cost,
+                         probes, bisect_left(F_sorted, cost))

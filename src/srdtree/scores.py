@@ -6,10 +6,12 @@ For an edge e with leaf count L(e) and attributes (w, u, c):
     S(e)  = L(e) * (u(e) - w(e))    distance gained by raising e to u
     nu(e) = L(e) / c(e)             distance gained per unit of cost
 
-so S(e) = nu(e) * F(e).  These are the only places the three are written
-out; every solver reads them from one table, and both capped demand
-solvers read their feasibility gate from it.  Every sort breaks ties by
-ascending edge id.
+so S(e) = nu(e) * F(e).  Every solver reads them from one table, and both
+capped demand solvers read their feasibility gate from it.  The one
+exception is the linf raise, ``linf._raise_at``: its single pass repeats
+the same expressions, so the budget solvers build no table and still get
+the table's values bit for bit.  Every sort breaks ties by ascending edge
+id.
 """
 
 from __future__ import annotations

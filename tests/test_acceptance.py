@@ -1,4 +1,5 @@
-"""Acceptance gate: ten campaign checks over the whole solver family.
+"""Acceptance gate: ten campaign checks over the whole solver family, and a
+clockless companion to C7.
 
 Each test prints and records one PASS/FAIL line; the recorded lines are
 echoed at the end of the pytest run.  Sizes follow the package convention
@@ -14,6 +15,7 @@ import pytest
 
 from srdtree import (
     EdgeAttrs,
+    EdgeScoreTable,
     GenConfig,
     SplitMix64,
     Status,
@@ -277,6 +279,32 @@ def test_c7_bench_scaling(record):
     ok = not problems
     record("C7 bench: near-linear scaling and the 1 s cap at 50000 nodes, "
            "sizes 1000..50000", ok)
+    assert not problems, problems
+
+
+def test_c7_probe_count_is_logarithmic(record):
+    # C7's companion without a clock: a capped mcsdiptc_inf solve bisects
+    # the n + 1 positions of the F order, so it makes at most
+    # ceil(log2(n + 1)) probes, and none when at most N edges can gain.
+    problems = []
+    for shape in SHAPES:
+        for edges in (1000, 3000, 10000):
+            inst = generate(GenConfig(node_count=edges + 1, seed=edges, shape=shape))
+            tree, attrs = inst.tree, inst.attrs
+            n = tree.n
+            table = EdgeScoreTable(tree, attrs)
+            for cap in (n // 10, n):
+                top = sorted((table.S[e] for e in tree.edge_ids), reverse=True)[:cap]
+                demand = srd(tree, attrs.w) + 0.5 * sum(top)
+                rep = mcsdiptc_inf(tree, attrs, demand, cap)
+                bound = n.bit_length() if table.gaining > cap else 0  # ceil(log2(n + 1))
+                if rep.status is not Status.FEASIBLE or rep.iterations > bound:
+                    problems.append((shape, n, cap, rep.status, rep.iterations, bound))
+                elif table.gaining > cap and rep.iterations == 0:
+                    problems.append((shape, n, cap, "no probe"))
+    ok = not problems
+    record("C7 probe bound: mcsdiptc_inf makes at most ceil(log2(n + 1)) probes, "
+           "none when at most N edges gain, 1000..10000 edges", ok)
     assert not problems, problems
 
 

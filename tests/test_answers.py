@@ -28,9 +28,9 @@ from srdtree.instance import SHAPES
 
 DIGESTS = {
     "mcsdipt_bh": "850087dd61f3945290a56d9d0ab649eb988905f69c7c026e6002d5d1a1f7266d",
-    "mcsdipt_inf": "26072116ce34bd868ce046f3aefa4b203752906c2d6a54172c5b81ccc78d2bd6",
+    "mcsdipt_inf": "e0fb43026af894565d9fd8be64724bc548b2f8230fd60babe867b435972068cc",
     "mcsdiptc_bh": "819b395a10895c5cd29cc5469b139f18fc11593bb5966977081654c0443db427",
-    "mcsdiptc_inf": "c3d8036afc11dd914d744a388848d6f40c1295930d22515ca5a6e4b0112a8ff4",
+    "mcsdiptc_inf": "d8aa9a6cb026a07156698e1bc956e35a768c07c6f8ecfa267b520f739f4db626",
     "sdipt_bh": "ca96e3b411a2421ff944612a061e980deee4adfe1c58dc2ffc9119ab3e85e0b3",
     "sdipt_inf": "c7bced9eeb5d1d728b1eac34c3240bdffc5069e21a47644590291b62e5f0a773",
     "sdiptc_bh": "e939c5b37efc011b3e41af3cf73c3344b416e5fe59ca26b111d4765db508a909",

@@ -165,6 +165,14 @@ class TestVerify:
         assert rc == 0
         assert "0/0 agree" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("max_n", ["1", "0", "-3"])
+    def test_max_n_below_two_is_refused(self, max_n, capsys):
+        rc = main(["verify", "--trials", "3", "--max-n", max_n, "--seed", "0"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --max-n {max_n} is below 2, the fewest edges a trial draws\n"
+
     def test_catches_a_broken_solver(self, tmp_path, monkeypatch, capsys):
         # broken budget solver: spends nothing, misses the grid value
         from srdtree import cli
@@ -199,3 +207,11 @@ class TestBench:
             assert int(fields[2]) in (40, 80)
             assert float(fields[4]) >= 0.0
             assert float(fields[5]) >= float(fields[6])
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_reps_below_one_is_refused(self, reps, capsys):
+        rc = main(["bench", "--sizes", "40", "--reps", reps])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --reps {reps} is below 1, so there is nothing to time\n"
