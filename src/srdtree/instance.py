@@ -12,16 +12,18 @@ File format, version tag ``tif v1``::
     param N <int>            # optional change bound
 
 Fields are separated by whitespace, decimals use '.', edge ids must be
-1..n in any order, and there is exactly one root line.  Unknown directives
-are errors.  ``serialize`` always emits the canonical ordering (header,
-edges by ascending id, then K, D, N) with single spaces, so parse and
-serialize round-trip byte for byte.
+1..n in any order, and there is exactly one root line.  Every edge needs
+0 <= w <= u and c > 0, and in float mode a finite full-raise cost
+c * (u - w).  Unknown directives are errors.  ``serialize`` always emits
+the canonical ordering (header, edges by ascending id, then K, D, N) with
+single spaces, so parse and serialize round-trip byte for byte.
 
 ``parse`` reads runs of lines that start with 'edge ' a block at a time:
 one split of the whole block, seven token columns by stride, and one
-conversion and one check per column.  A block that fails any check is read
-again line by line, so every error names the line and gives the message a
-line-by-line read would.  All other lines are read one at a time.
+conversion and one check per column.  A block that fails any check is
+read again line by line, so every error names the line and gives the
+message a line-by-line read would.  Runs of one or two edge lines, and
+all other lines, are read one line at a time.
 
 The generator draws every random quantity from SplitMix64 so another
 implementation can reproduce fixtures exactly.  State update per draw::
@@ -46,7 +48,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
-from operator import lt, methodcaller
+from operator import lt, methodcaller, mul, sub
 
 from .errors import (
     BadConfig,
@@ -216,6 +218,8 @@ class _EdgeColumns:
             raise BoundViolation(lineno, f"edge {eid}: need 0 <= w <= u")
         if ce <= 0:
             raise BoundViolation(lineno, f"edge {eid}: cost must be positive")
+        if self.convert is float and not math.isfinite(ce * (ue - we)):
+            raise BoundViolation(lineno, f"edge {eid}: full-raise cost c * (u - w) overflows")
         self.seen.add(eid)
         self.ids.append(eid)
         self.parents.append(fields[2])
@@ -228,11 +232,11 @@ class _EdgeColumns:
         """Append the edge lines from ``lines[i]`` on, up to one block.
 
         ``lines[i]`` starts with 'edge '; so do the lines taken after it.
-        They are split into tokens in one go and read as seven columns,
-        each converted and checked by one pass.  Where a check fails, the
-        lines go through ``add_line`` one by one, which raises for the
-        first line at fault as a line-by-line read would.  Returns how many
-        lines were taken.
+        A run of more than two is split into tokens in one go and read as
+        seven columns, each converted and checked by one pass.  Where a
+        check fails, and for shorter runs, the lines go through
+        ``add_line`` one by one, which raises for the first line at fault
+        as a line-by-line read would.  Returns how many lines were taken.
         """
         # the run ends at the first other line: a run of one edge line
         # costs one line, however short the runs between comments
@@ -244,18 +248,20 @@ class _EdgeColumns:
         tok = text.split()
         # each line opens with an 'edge' token; when no other 'edge' occurs
         # and every 7th token is one, every line has exactly 7 fields (a
-        # node name holding 'edge' just sends its block line by line)
-        if len(tok) == 7 * m and text.count("edge") == m == tok[::7].count("edge"):
+        # node name holding 'edge' just sends its block line by line).  A
+        # run of one or two lines is cheaper read line by line.
+        if m > 2 and len(tok) == 7 * m and text.count("edge") == m == tok[::7].count("edge"):
             try:
                 ids = list(map(int, tok[1::7]))
                 w, u, c = (list(map(self.convert, tok[k::7])) for k in (4, 5, 6))
             except (ValueError, ZeroDivisionError):
                 pass
             else:
-                # a NaN or infinity makes the float sum NaN or infinite; an
+                # a NaN or infinity in w, u or c, or an overflowing full-raise
+                # cost c * (u - w), makes the float sum NaN or infinite; an
                 # overflowing sum of finite values only costs the fast path
                 if ((self.convert is not float
-                        or math.isfinite(sum(w) + sum(u) + sum(c)))
+                        or math.isfinite(sum(w) + sum(map(mul, c, map(sub, u, w)))))
                         and min(w) >= 0 and min(c) > 0 and not any(map(lt, u, w))):
                     seen = len(self.seen)
                     self.seen.update(ids)

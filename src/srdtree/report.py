@@ -46,9 +46,11 @@ class SolveReport:
     an outside check can rebuild the whole solution from it.  Under the
     scaled-raise norm it is the F position of the cost, the k with
     F(k) < cost <= F(k + 1), F sorted ascending and F(0) = 0.  Under the
-    bottleneck norm it is the prefix length: the answer raises the N
-    largest full-raise gains among the first breakpoint edges in (c, id)
-    order.  iterations counts the bisection probes of the
+    bottleneck norm it is the prefix length, the covering prefix extended
+    through the edges priced at its dearest price: the answer raises the
+    N largest full-raise gains among the first breakpoint edges in (c, id)
+    order.  Under either norm the answer is the budget raise at its own
+    cost.  iterations counts the bisection probes of the
     scaled-raise demand solvers, 0 when at most N edges can gain, and stays
     0 elsewhere.
     """

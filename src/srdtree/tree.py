@@ -26,6 +26,7 @@ children, grouped by one stable sort.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
@@ -48,7 +49,8 @@ class EdgeAttrs:
     """Per-edge data: start weight w, upper bound u and positive unit cost c.
 
     All three dicts are keyed by edge id and must cover the same edges,
-    with u[e] >= w[e] >= 0 and c[e] > 0.
+    with u[e] >= w[e] >= 0 and c[e] > 0, every value and every full-raise
+    cost c[e] * (u[e] - w[e]) finite.
     """
 
     w: dict
@@ -91,7 +93,8 @@ def build_tree(edge_list, attrs: EdgeAttrs) -> RootedTree:
     edge_list holds (edge_id, parent, child) triples with string node names.
     Raises the specific structural error for duplicate children or ids,
     several roots, cycles, non-dense ids, missing attribute entries and
-    attribute bound violations.
+    attribute bound violations, among them a float NaN or infinity and a
+    full-raise cost c * (u - w) that overflows.
     """
     edge_list = list(edge_list)
     if any(len(edge) != 3 for edge in edge_list):
@@ -109,7 +112,17 @@ def build_tree(edge_list, attrs: EdgeAttrs) -> RootedTree:
             raise AttrBoundsViolated(f"edge {eid}: u = {u} lies below w = {w}")
         if c <= 0:
             raise AttrBoundsViolated(f"edge {eid}: c = {c} is not positive")
+        for name, value in (("w", w), ("u", u), ("c", c)):
+            if not _finite(value):
+                raise AttrBoundsViolated(f"edge {eid}: {name} = {value} is not finite")
+        if not _finite(c * (u - w)):
+            raise AttrBoundsViolated(f"edge {eid}: the full-raise cost c * (u - w) overflows")
     return tree
+
+
+def _finite(value) -> bool:
+    """False for a float NaN or infinity; ints and rationals are always finite."""
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _assemble(eids: list, parents: list, children: list) -> RootedTree:

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten campaign checks over the whole solver family, and a
+"""Acceptance gate: eleven campaign checks over the whole solver family, and a
 clockless companion to C7.
 
 Each test prints and records one PASS/FAIL line; the recorded lines are
@@ -9,6 +9,7 @@ requested node counts, matching the bench CSV column.
 
 import math
 import time
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,8 @@ from srdtree import (
     mcsdipt_inf,
     mcsdiptc_bh,
     mcsdiptc_inf,
+    sdiptc_bh,
+    sdiptc_inf,
     srd,
 )
 from srdtree.cli import ORACLE_CHANGE_CAP, _check_pair, main, run_bench
@@ -443,4 +446,56 @@ def test_c10_boundary_demands_are_answered(record):
     ok = not failures
     record(f"C10 demand solvers total at srd(w), srd(u) and the top-N reach, "
            f"{answers} answers on {per_shape} instances per shape, {elapsed:.1f}s", ok)
+    assert not failures, failures[:5]
+
+
+def test_c11_demand_answers_are_budget_duals(record):
+    # The paper solves each minimum-cost problem through its budget
+    # subproblem.  Every Feasible demand answer of cost C is certified by
+    # its budget twin at the same N, without an oracle: at budget C it
+    # reaches D, and one level cheaper it does not.  Under linf that level
+    # is C * (1 - 1e-9); under bh it is the next cheaper distinct c, or 0
+    # below the cheapest.  At the half-top demands the float sums of
+    # mcsdiptc_inf can miss D by float dust, so reaching D allows C10's
+    # 1e-9 relative slack; the cheaper level gets none.
+    start = time.perf_counter()
+    norms = {"linf": (mcsdipt_inf, mcsdiptc_inf, sdiptc_inf),
+             "bh": (mcsdipt_bh, mcsdiptc_bh, sdiptc_bh)}
+    failures = []
+    answers = 0
+    for shape in SHAPES:
+        for seed, edges in enumerate((1000, 1500, 2000, 3000, 5000, 7000, 10000), 1100):
+            inst = generate(GenConfig(node_count=edges + 1, seed=seed, shape=shape))
+            tree, attrs, params = inst.tree, inst.attrs, inst.params
+            n = tree.n
+            w_total = srd(tree, attrs.w)
+            gains = sorted(EdgeScoreTable(tree, attrs).S.values(), reverse=True)
+            prices = sorted(set(attrs.c.values()))
+            # (demand, N, whether the uncapped solver answers it too)
+            cases = [(params.D, params.N, True)]
+            cases += [(w_total + 0.5 * sum(gains[:cap]), cap, cap == n) for cap in (n // 10, n)]
+            for norm, (uncapped, capped, budget) in norms.items():
+                for demand, cap, uncapped_too in cases:
+                    slack = 1e-9 * max(1.0, abs(demand))
+                    reps = [(cap, capped(tree, attrs, demand, cap))]
+                    if uncapped_too:
+                        reps.append((n, uncapped(tree, attrs, demand)))
+                    for bound, rep in reps:
+                        if rep.status is not Status.FEASIBLE:
+                            continue
+                        answers += 1
+                        cost = rep.cost
+                        if norm == "linf":
+                            cheaper = cost * (1 - 1e-9)
+                        else:
+                            cheaper = prices[bisect_left(prices, cost) - 1] if cost > prices[0] else 0
+                        if budget(tree, attrs, cost, bound).objective < demand - slack:
+                            failures.append((shape, n, norm, bound, "short at C"))
+                        if budget(tree, attrs, cheaper, bound).objective >= demand:
+                            failures.append((shape, n, norm, bound, "reached below C"))
+    elapsed = time.perf_counter() - start
+    ok = not failures
+    record(f"C11 every demand answer reaches D through its budget twin at its cost "
+           f"and not one level cheaper, {answers} answers at 1000..10000 edges, "
+           f"{elapsed:.1f}s", ok)
     assert not failures, failures[:5]

@@ -23,6 +23,7 @@ from srdtree import (
 from srdtree.instance import SHAPES
 
 from strategies import NUMS, STAR_TIES, star, tied_trees, tiny_gap_star, tree_and_attrs
+from twins import BudgetTwin
 
 
 class TestBudgetMax:
@@ -265,7 +266,8 @@ class TestBreakpointReconstruction:
 
     Among the first ``breakpoint`` edges in (c, id) order, the N largest
     full-raise gains S, ties to the smaller id, are raised to u.  In exact
-    mode that prefix is the shortest one whose top N gains cover the gap.
+    mode their gains cover the gap and those of the edges strictly cheaper
+    than the cost do not: no cheaper dearest edge reaches the demand.
     """
 
     @pytest.mark.parametrize("trees, exact", [
@@ -282,11 +284,11 @@ class TestBreakpointReconstruction:
         order = sorted(tree.edge_ids, key=lambda e: (c[e], e))
         cap = data.draw(st.integers(min_value=1, max_value=tree.n))
 
-        def top(k):
-            return sorted(order[:k], key=lambda e: (-S[e], e))[:cap]
+        def top(edges):
+            return sorted(edges, key=lambda e: (-S[e], e))[:cap]
 
         w_total = srd(tree, w)
-        reach = srd(tree, {**w, **{e: u[e] for e in top(tree.n)}})
+        reach = srd(tree, {**w, **{e: u[e] for e in top(order)}})
         demand = w_total + (reach - w_total) * data.draw(st.integers(1, 64)) / 64
         delta = demand - w_total
         reps = [mcsdiptc_bh(tree, attrs, demand, cap)]
@@ -296,10 +298,19 @@ class TestBreakpointReconstruction:
             if rep.status is not Status.FEASIBLE:
                 continue
             k = rep.breakpoint
-            assert {**w, **{e: u[e] for e in top(k)}} == rep.weights
+            assert {**w, **{e: u[e] for e in top(order[:k])}} == rep.weights
             if exact:
-                assert sum(S[e] for e in top(k)) >= delta
-                assert sum(S[e] for e in top(k - 1)) < delta
+                assert sum(S[e] for e in top(order[:k])) >= delta
+                cheaper = [e for e in order if c[e] < rep.cost]
+                assert sum(S[e] for e in top(cheaper)) < delta
+
+
+class TestBudgetTwin(BudgetTwin):
+    """A feasible bh demand answer is, bit for bit, the budget answer at its
+    cost: ``sdiptc_bh`` at that ceiling raises the same edges, also where
+    the ceiling's price is shared by edges past the covering prefix."""
+
+    solvers = (mcsdipt_bh, mcsdiptc_bh, sdiptc_bh)
 
 
 class TestExactReachableBoundary:

@@ -207,7 +207,7 @@ class TestShortRuns:
 
     def test_one_edge_line_per_run_costs_what_a_line_does(self):
         # each run must cost its own lines, not a block's worth of the lines
-        # after it: 20000 runs of one line take about 1.5 times the line by
+        # after it: 20000 runs of one line take about as long as the line by
         # line read; a block's worth each would take over 10 times as long
         text = self.interleaved(20000)
         got, ref = [], []
@@ -223,11 +223,12 @@ class TestShortRuns:
     @pytest.mark.parametrize("block", [2, 3])
     def test_overflowing_column_sums(self, block):
         # finite values whose float sum overflows fail the block's finiteness
-        # check, so each block is read line by line, and the file is valid
+        # check, so each block is read line by line, and the file is valid:
+        # at c = 1 no full-raise cost overflows
         lines = serialize(generate(GenConfig(node_count=41, seed=2))).splitlines()
         for k in range(3, 43):
             rec = lines[k].split()
-            rec[4:6] = ["1e308", "1.5e308"]
+            rec[4:7] = ["1e308", "1.5e308", "1"]
             lines[k] = " ".join(rec)
         text = "\n".join(lines) + "\n"
         saved = instance._BLOCK

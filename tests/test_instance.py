@@ -101,6 +101,20 @@ class TestParse:
         with pytest.raises(BoundViolation):
             parse("tif v1\nn 1\nroot s\nedge 1 s a -1 2 1\n")
 
+    @pytest.mark.parametrize("edges", [1, 2, 3, 40])
+    def test_overflowing_full_raise_cost_carries_the_line(self, edges):
+        # runs of one or two edge lines are read line by line, longer ones
+        # by column; both refuse the line, and exact mode never overflows
+        lines = serialize(generate(GenConfig(node_count=edges + 1, seed=4))).splitlines()
+        k = 3 + edges // 2
+        lines[k] = " ".join(lines[k].split()[:4] + ["0", "1e200", "1e200"])
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(BoundViolation) as err:
+            parse(text)
+        assert err.value.line == k + 1
+        assert "overflows" in str(err.value)
+        assert parse(text, exact=True).attrs.c[int(lines[k].split()[1])] == 10**200
+
     def test_bad_numbers(self):
         with pytest.raises(InstanceSyntaxError):
             parse("tif v1\nn 1\nroot s\nedge 1 s a x 2 1\n")

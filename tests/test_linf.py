@@ -7,26 +7,23 @@ from hypothesis import strategies as st
 
 from srdtree import (
     EdgeAttrs,
-    EdgeScoreTable,
     GenConfig,
     NegativeBudget,
     NOutOfRange,
-    SplitMix64,
     Status,
     build_tree,
     generate,
     mcsdipt_inf,
     mcsdiptc_inf,
-    parse,
     sdipt_inf,
     sdiptc_inf,
-    serialize,
     srd,
 )
 from srdtree.instance import SHAPES
 
 from certificates import capped_demand_faults, capped_top
 from strategies import NUMS, STAR_TIES, one_edge, star, tied_trees, tree_and_attrs
+from twins import BudgetTwin
 
 
 def broom_exact():
@@ -437,68 +434,9 @@ class TestExactReachableBoundary:
             self.check(tree, attrs, mcsdiptc_inf(tree, attrs, demand, tree.n), demand)
 
 
-class TestBudgetTwin:
-    """A feasible demand answer is, bit for bit, the budget answer at its cost.
+class TestBudgetTwin(BudgetTwin):
+    """A feasible linf demand answer is, bit for bit, the budget answer at its
+    cost, and in exact rationals it reaches the demand with equality."""
 
-    This is the half of the duality that the paper's reduction rests on:
-    the budget twin at cost C reaches D.  Generated trees are solved in
-    floats and, read back from their text, in exact rationals, where the
-    answer reaches D with equality.
-    """
-
-    @staticmethod
-    def bits(weights):
-        return [repr(weights[e]) for e in sorted(weights)]
-
-    def check(self, tree, attrs, demand, caps, exact=False):
-        """Solve at demand for every cap; return how many answers were Feasible."""
-        answers = [(tree.n, mcsdipt_inf(tree, attrs, demand))]
-        answers += [(cap, mcsdiptc_inf(tree, attrs, demand, cap)) for cap in caps]
-        feasible = 0
-        for cap, rep in answers:
-            if rep.status is not Status.FEASIBLE:
-                continue
-            feasible += 1
-            twin = sdiptc_inf(tree, attrs, rep.cost, cap)
-            assert self.bits(twin.weights) == self.bits(rep.weights), (cap, rep.cost)
-            assert twin.modified_edges == rep.modified_edges
-            if exact:
-                assert srd(tree, rep.weights) == demand
-        return feasible
-
-    @staticmethod
-    def generated(i):
-        return generate(GenConfig(node_count=3 + (i * 67) % 199, seed=i,
-                                  shape=SHAPES[i % len(SHAPES)]))
-
-    def test_generator_demands(self):
-        feasible = 0
-        for i in range(300):
-            inst = self.generated(i)
-            n = inst.tree.n
-            caps = sorted({inst.params.N, max(1, n // 10), n})
-            feasible += self.check(inst.tree, inst.attrs, inst.params.D, caps)
-        assert feasible > 600
-
-    def test_generator_demands_exact(self):
-        for i in range(0, 300, 10):
-            inst = parse(serialize(self.generated(i)), exact=True)
-            n = inst.tree.n
-            caps = sorted({inst.params.N, max(1, n // 10), n})
-            self.check(inst.tree, inst.attrs, inst.params.D, caps, exact=True)
-
-    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
-    def test_boundary_demands(self, exact):
-        # C10's demands: srd(u) with N = n, and the capped reach with
-        # N = max(1, n // 10), where the answer raises that gate's vector
-        rng = SplitMix64(1010)
-        for trial in range(100 if exact else 2000):
-            inst = generate(GenConfig(node_count=3 + rng.next_int(120), seed=rng.next_u64(),
-                                      shape=SHAPES[trial % len(SHAPES)]))
-            if exact:
-                inst = parse(serialize(inst), exact=True)
-            tree, attrs = inst.tree, inst.attrs
-            cap = max(1, tree.n // 10)
-            self.check(tree, attrs, srd(tree, attrs.u), [tree.n], exact)
-            reach = EdgeScoreTable(tree, attrs).capped_reach(cap)
-            self.check(tree, attrs, reach, [cap], exact)
+    solvers = (mcsdipt_inf, mcsdiptc_inf, sdiptc_inf)
+    equality = True

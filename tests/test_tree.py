@@ -30,6 +30,8 @@ from srdtree import (
 )
 from srdtree.instance import SHAPES
 
+NAN, INF = float("nan"), float("inf")
+
 from strategies import NUMS, tree_and_attrs
 
 
@@ -106,12 +108,20 @@ class TestBuildTree:
 
     @pytest.mark.parametrize(
         "w,u,c",
-        [(-1.0, 2.0, 1.0), (1.0, 0.5, 1.0), (1.0, 2.0, 0.0), (1.0, 2.0, -3.0)],
+        [(-1.0, 2.0, 1.0), (1.0, 0.5, 1.0), (1.0, 2.0, 0.0), (1.0, 2.0, -3.0),
+         # non-finite values, and a full-raise cost c * (u - w) that overflows
+         (NAN, 2.0, 1.0), (1.0, NAN, 1.0), (1.0, 2.0, NAN), (INF, INF, 1.0),
+         (1.0, INF, 1.0), (1.0, 2.0, INF), (1.0, 1.0, INF), (0.0, 1e200, 1e200)],
     )
     def test_attr_bounds(self, w, u, c):
         attrs = EdgeAttrs(w={1: w}, u={1: u}, c={1: c})
         with pytest.raises(AttrBoundsViolated):
             build_tree([(1, "s", "a")], attrs)
+
+    def test_exact_full_raise_cost_beyond_the_float_range(self):
+        big = Fraction(10**200)
+        attrs = EdgeAttrs(w={1: Fraction(0)}, u={1: big}, c={1: big})
+        assert build_tree([(1, "s", "a")], attrs).counts == {1: 1}
 
 
 class TestLeafCounts:
