@@ -47,7 +47,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import takewhile
+from itertools import islice, takewhile
 from operator import lt, methodcaller, mul, sub
 
 from .errors import (
@@ -332,11 +332,11 @@ def serialize(inst: InstanceFile) -> str:
     """Canonical text for an instance; parse(serialize(x)) round-trips."""
     tree, attrs, params = inst.tree, inst.attrs, inst.params
     lines = ["tif v1", f"n {tree.n}", f"root {tree.root}"]
-    by_id = {eid: (parent, child) for eid, parent, child in tree.edges}
-    for eid in sorted(by_id):
-        parent, child = by_id[eid]
+    names = tree.names
+    # the tree's columns are in ascending id order already
+    for eid, above, child in zip(tree.counts, islice(tree.up, 1, None), islice(names, 1, None)):
         lines.append(
-            f"edge {eid} {parent} {child} "
+            f"edge {eid} {names[above]} {child} "
             f"{_format_number(attrs.w[eid])} {_format_number(attrs.u[eid])} "
             f"{_format_number(attrs.c[eid])}")
     if params.K is not None:

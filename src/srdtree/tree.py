@@ -22,6 +22,12 @@ bottom-up over it, in the reverse of a breadth-first walk over the
 children, grouped by one stable sort.
 ``build_tree`` takes (id, parent, child) triples and transposes them;
 ``parse`` and ``generate`` hand over their columns directly.
+
+The frozen tree is that index and nothing per edge beyond it: ``up`` (the
+parent edge of each edge), ``names`` (the node each edge enters) and
+``counts``, all in ascending id order.  The (id, parent, child) triples
+are derived from them on each read of ``edges``; the order the edges were
+given in is not kept.
 """
 
 from __future__ import annotations
@@ -60,31 +66,48 @@ class EdgeAttrs:
 
 @dataclass(frozen=True)
 class RootedTree:
-    """An immutable rooted tree.
+    """An immutable rooted tree, stored as its parent-edge index.
 
-    edges keeps the construction order as (edge_id, parent, child) records,
-    from which any node lookup can be rebuilt.  counts maps each edge id,
-    in ascending order, to the number of leaves below it: the L(e) of the
-    linear form every solver reads.  Treat the dict as read-only.
+    up[e] is the id of the edge above edge e, 0 for an edge that leaves
+    the root, and up[0] = 0.  names[e] is the node that edge e enters, and
+    names[0] is the root.  counts maps each edge id, in ascending order, to
+    the number of leaves below it: the L(e) of the linear form every solver
+    reads; it is keyed by the id objects the tree was built from.  Treat
+    all three as read-only.
     """
 
-    root: str
-    edges: tuple
+    up: list
+    names: list
     counts: dict
+
+    @property
+    def root(self) -> str:
+        return self.names[0]
 
     @property
     def n(self) -> int:
         """Number of edges."""
-        return len(self.edges)
+        return len(self.up) - 1
 
     @property
     def node_count(self) -> int:
-        return len(self.edges) + 1
+        return len(self.up)
 
     @property
     def edge_ids(self) -> range:
         """Edge ids in ascending order; always exactly 1..n after validation."""
-        return range(1, len(self.edges) + 1)
+        return range(1, len(self.up))
+
+    @property
+    def edges(self) -> tuple:
+        """The (edge_id, parent, child) triples in ascending id order.
+
+        Rebuilt on each read from counts' ids, up and names; the order the
+        edges were given in is not kept.
+        """
+        names = self.names
+        return tuple(zip(self.counts, map(names.__getitem__, islice(self.up, 1, None)),
+                         islice(names, 1, None)))
 
 
 def build_tree(edge_list, attrs: EdgeAttrs) -> RootedTree:
@@ -164,9 +187,11 @@ def _assemble(eids: list, parents: list, children: list) -> RootedTree:
     for e in reversed(order):
         below[up[e]] += below[e]
 
+    names = [root]
+    names += map(children.__getitem__, pos)
     return RootedTree(
-        root=root,
-        edges=tuple(zip(eids, parents, children)),
+        up=up,
+        names=names,
         # keyed by the caller's own id objects, so the dict adds no int per
         # edge, in ascending order, so a walk over it visits the ids in order
         counts=dict(zip(map(eids.__getitem__, pos), islice(below, 1, None))),

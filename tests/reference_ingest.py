@@ -187,11 +187,11 @@ def build_tree(edge_list, attrs: EdgeAttrs) -> RootedTree:
         if c <= 0:
             raise AttrBoundsViolated(f"edge {eid}: c = {c} is not positive")
 
-    return RootedTree(
-        root=root,
-        edges=tuple((eid, parent, child) for eid, parent, child in edge_list),
-        counts=counts,
-    )
+    # names[e]: the node edge e enters, the root at index 0
+    names = [root] * (n + 1)
+    for eid, _, child in edge_list:
+        names[eid] = child
+    return RootedTree(up=up, names=names, counts=counts)
 
 
 def _parse_int(token: str, lineno: int) -> int:

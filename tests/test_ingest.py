@@ -1,7 +1,7 @@
 """Parity of the columnar ``parse`` and ``build_tree`` with the line-by-line
 reference in ``reference_ingest``: on any file, the same instance (every
-value by repr, the order of ``edges``, the keys and order of ``counts``) or
-the same error class, line and message."""
+value by repr: the tree's ``up`` and ``names`` columns, the keys and order
+of ``counts``) or the same error class, line and message."""
 
 import random
 import time
@@ -29,9 +29,11 @@ def outcome(fn, *args, **kwargs):
     except Exception as err:  # noqa: BLE001 - the reference decides what is right
         return ("raised", type(err).__name__, getattr(err, "line", None), str(err))
     tree = getattr(got, "tree", got)
-    out = [repr(tree.root), repr(tree.edges), repr(list(tree.counts.items()))]
-    # counts is keyed by the very id objects of edges, not by equal copies
-    ids = {id(eid) for eid, _, _ in tree.edges}
+    out = [repr(tree.root), repr(tree.up), repr(tree.names), repr(list(tree.counts.items()))]
+    # counts is keyed by the very id objects that were parsed or passed in,
+    # not by equal copies
+    given = (eid for eid, *_ in args[0]) if tree is got else got.attrs.w
+    ids = set(map(id, given))
     out.append(all(id(eid) in ids for eid in tree.counts))
     if tree is not got:
         attrs = got.attrs

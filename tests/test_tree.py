@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -22,17 +23,19 @@ from srdtree import (
     mcsdiptc_bh,
     mcsdiptc_inf,
     modified_edges,
+    parse,
     sdipt_bh,
     sdipt_inf,
     sdiptc_bh,
     sdiptc_inf,
+    serialize,
     srd,
 )
 from srdtree.instance import SHAPES
 
 NAN, INF = float("nan"), float("inf")
 
-from strategies import NUMS, tree_and_attrs
+from strategies import NUMS, edge_lists, tree_and_attrs
 
 
 def parent_edges(tree):
@@ -122,6 +125,91 @@ class TestBuildTree:
         big = Fraction(10**200)
         attrs = EdgeAttrs(w={1: Fraction(0)}, u={1: big}, c={1: big})
         assert build_tree([(1, "s", "a")], attrs).counts == {1: 1}
+
+
+class TestParentIndex:
+    def test_broom_columns(self, broom):
+        tree, _ = broom
+        assert tree.up == [0, 0, 1, 1]
+        assert tree.names == ["s", "v1", "t1", "t2"]
+        assert tree.edges == ((1, "s", "v1"), (2, "v1", "t1"), (3, "v1", "t2"))
+
+    def test_edges_in_id_order(self):
+        # the order the edges came in is not kept; edges is rebuilt by id
+        edges = [(3, "a", "x"), (1, "a", "b"), (4, "s", "a"), (2, "b", "y")]
+        tree = build_tree(edges, unit_attrs(4))
+        assert tree.up == [0, 4, 1, 4, 0]
+        assert tree.names == ["s", "b", "y", "x", "a"]
+        assert tree.edges == tuple(sorted(edges))
+        assert tree.edges is not tree.edges
+
+    @staticmethod
+    def assert_round_trip(tree, attrs):
+        again = build_tree(tree.edges, attrs)
+        assert again.up == tree.up
+        assert again.names == tree.names
+        assert list(again.counts.items()) == list(tree.counts.items())
+
+    @given(st.data())
+    def test_shuffled_edges_round_trip(self, data):
+        edges = data.draw(st.permutations(data.draw(edge_lists(max_edges=14))))
+        ids = data.draw(st.permutations(range(1, len(edges) + 1)))
+        edges = [(ids[eid - 1], parent, child) for eid, parent, child in edges]
+        tree = build_tree(edges, unit_attrs(len(edges)))
+        assert sorted(tree.edges) == sorted(edges)
+        self.assert_round_trip(tree, unit_attrs(len(edges)))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_generated_round_trip(self, shape):
+        inst = generate(GenConfig(node_count=2001, seed=5, shape=shape))
+        self.assert_round_trip(inst.tree, inst.attrs)
+
+
+class TestGcFootprint:
+    """The tree holds no container per edge: building one leaves a fixed
+    number of new gc-tracked objects, whatever the number of edges.
+
+    Cyclic collections are triggered by allocations of tracked objects, so
+    this is also what keeps a large parse free of them.  gc is off while
+    the objects are counted, so none is collected or untracked meanwhile.
+    """
+
+    @staticmethod
+    def growth(build, *args):
+        build(*args)  # any first-call caches are made outside the count
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            kept = build(*args)
+            after = len(gc.get_objects())
+        finally:
+            if enabled:
+                gc.enable()
+        return after - before
+
+    @staticmethod
+    def instance(edges, shape):
+        return generate(GenConfig(node_count=edges + 1, seed=edges, shape=shape))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_generate(self, shape):
+        grown = [self.growth(self.instance, edges, shape) for edges in (1000, 10000)]
+        assert grown[0] == grown[1] <= 10
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_parse(self, shape):
+        texts = [serialize(self.instance(edges, shape)) for edges in (1000, 10000)]
+        grown = [self.growth(parse, text) for text in texts]
+        assert grown[0] == grown[1] <= 10
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_build_tree(self, shape):
+        grown = []
+        for edges in (1000, 10000):
+            inst = self.instance(edges, shape)
+            grown.append(self.growth(build_tree, list(inst.tree.edges), inst.attrs))
+        assert grown[0] == grown[1] <= 10
 
 
 class TestLeafCounts:
