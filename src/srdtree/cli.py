@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from dataclasses import replace
 
 from . import bh, linf, oracles
 from .errors import BadConfig, MissingParam, SrdTreeError
@@ -61,14 +63,10 @@ ORACLE_CHANGE_CAP = 3  # subset oracle guard for the cardinality demand problem
 
 
 def _solve_args(problem: str, params: ProblemParams):
-    need = _NEEDS[problem]
-    values = []
-    for name in need:
-        value = getattr(params, name)
-        if value is None:
+    for name in _NEEDS[problem]:
+        if getattr(params, name) is None:
             raise MissingParam(name, problem)
-        values.append(value)
-    return values
+    return [getattr(params, name) for name in _NEEDS[problem]]
 
 
 def run_solver(problem: str, norm: str, inst: InstanceFile) -> SolveReport:
@@ -77,40 +75,29 @@ def run_solver(problem: str, norm: str, inst: InstanceFile) -> SolveReport:
     return solver(inst.tree, inst.attrs, *_solve_args(problem, inst.params))
 
 
-def _fmt_value(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _emit_report(args, report: SolveReport, elapsed: float, instance_digest: str,
                  out) -> None:
-    mods = sorted(report.modified_edges)
+    record = {
+        "problem": args.problem,
+        "norm": args.norm,
+        "status": report.status.value,
+        "objective": report.objective,
+        "cost": report.cost,
+        "modified_edges": sorted(report.modified_edges),
+        "iterations": report.iterations,
+        "breakpoint": report.breakpoint,
+        "wall_time_seconds": elapsed,
+        "instance_digest": instance_digest,
+    }
     if args.json:
-        payload = {
-            "problem": args.problem,
-            "norm": args.norm,
-            "status": report.status.value,
-            "objective": None if report.objective == float("inf") else report.objective,
-            "cost": None if report.cost == float("inf") else report.cost,
-            "modified_edges": mods,
-            "iterations": report.iterations,
-            "breakpoint": report.breakpoint,
-            "wall_time_seconds": elapsed,
-            "instance_digest": instance_digest,
-        }
-        print(json.dumps(payload, sort_keys=True), file=out)
+        print(json.dumps({k: None if v == math.inf else v for k, v in record.items()},
+                         sort_keys=True), file=out)
         return
-    print(f"problem {args.problem}", file=out)
-    print(f"norm {args.norm}", file=out)
-    print(f"status {report.status.value}", file=out)
-    print(f"objective {_fmt_value(report.objective)}", file=out)
-    print(f"cost {_fmt_value(report.cost)}", file=out)
-    print(f"modified_edges {','.join(str(e) for e in mods)}", file=out)
-    print(f"iterations {report.iterations}", file=out)
-    print(f"breakpoint {report.breakpoint}", file=out)
-    print(f"wall_time_seconds {elapsed!r}", file=out)
-    print(f"instance_digest {instance_digest}", file=out)
+    for key, value in record.items():
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        print(f"{key} {value!r}" if isinstance(value, float) else f"{key} {value}",
+              file=out)
 
 
 def solve_cmd(args, out=None) -> int:
@@ -153,72 +140,54 @@ def _close(a, b, tol=REL_TOL) -> bool:
 
 
 def _check_pair(problem: str, norm: str, inst: InstanceFile, trial_changes: int):
-    """Solver-vs-oracle comparison for one instance.  Returns (ok, note)."""
+    """Solver-vs-oracle comparison for one instance.  Returns (ok, note).
+
+    ``sdiptc`` runs with the instance's change bound and ``mcsdiptc`` with
+    ``trial_changes``, which keeps its subset oracle small.
+    """
     tree, attrs, params = inst.tree, inst.attrs, inst.params
-    w_total = srd(tree, attrs.w)
-    u_total = srd(tree, attrs.u)
-
-    if norm == "linf":
-        if problem == "sdipt":
-            rep = linf.sdipt_inf(tree, attrs, params.K)
-            ora = oracles.grid_sdipt_inf(tree, attrs, params.K)
-            ok = (rep.objective >= ora.objective - GRID_GAP
-                  and oracles.witness_feasible(tree, attrs, rep.weights,
-                                               budget=params.K, norm="linf"))
-            return ok, f"objective {rep.objective} vs grid {ora.objective}"
-        if problem == "sdiptc":
-            rep = linf.sdiptc_inf(tree, attrs, params.K, params.N)
-            ora = oracles.brute_sdiptc_inf(tree, attrs, params.K, params.N)
-            return _close(rep.objective, ora.objective), \
-                f"objective {rep.objective} vs brute {ora.objective}"
-        if problem == "mcsdipt":
-            rep = linf.mcsdipt_inf(tree, attrs, params.D)
-            if params.D <= w_total:
-                return rep.status is Status.ALREADY_SATISFIED and rep.cost == 0, \
-                    "demand already met"
-            if params.D > u_total:
-                return rep.status is Status.INFEASIBLE, "demand unreachable"
-            ora = oracles.parametric_mcsdipt_inf(tree, attrs, params.D)
-            return _close(rep.cost, ora.objective), \
-                f"cost {rep.cost} vs parametric {ora.objective}"
-        rep = linf.mcsdiptc_inf(tree, attrs, params.D, trial_changes)
-        ora = oracles.brute_mcsdiptc_inf(tree, attrs, params.D, trial_changes)
-        if not ora.feasible:
-            return rep.status is Status.INFEASIBLE, "oracle infeasible"
-        if rep.status is Status.INFEASIBLE:
-            return False, f"solver infeasible, oracle cost {ora.objective}"
-        return _close(rep.cost, ora.objective), \
-            f"cost {rep.cost} vs brute {ora.objective}"
-
-    if problem == "sdipt":
-        rep = bh.sdipt_bh(tree, attrs, params.K)
-        ora = oracles.brute_bh(tree, attrs, "sdipt", budget=params.K)
-        return _close(rep.objective, ora.objective), \
-            f"objective {rep.objective} vs brute {ora.objective}"
-    if problem == "sdiptc":
-        rep = bh.sdiptc_bh(tree, attrs, params.K, params.N)
-        ora = oracles.brute_bh(tree, attrs, "sdiptc", budget=params.K,
-                               max_changes=params.N)
-        return _close(rep.objective, ora.objective), \
-            f"objective {rep.objective} vs brute {ora.objective}"
-    if problem == "mcsdipt":
-        rep = bh.mcsdipt_bh(tree, attrs, params.D)
-        ora = oracles.brute_bh(tree, attrs, "mcsdipt", demand=params.D)
+    changes = params.N if problem == "sdiptc" else trial_changes
+    rep = run_solver(problem, norm,
+                     InstanceFile(tree, attrs, replace(params, N=changes)))
+    oracle = "brute"
+    if norm == "bh":
+        ora = oracles.brute_bh(tree, attrs, problem, budget=params.K,
+                               demand=params.D, max_changes=changes)
+    elif problem == "sdipt":
+        ora = oracles.grid_sdipt_inf(tree, attrs, params.K)
+        ok = (rep.objective >= ora.objective - GRID_GAP
+              and oracles.witness_feasible(tree, attrs, rep.weights,
+                                           budget=params.K, norm="linf"))
+        return ok, f"objective {rep.objective} vs grid {ora.objective}"
+    elif problem == "sdiptc":
+        ora = oracles.brute_sdiptc_inf(tree, attrs, params.K, changes)
+    elif problem == "mcsdiptc":
+        ora = oracles.brute_mcsdiptc_inf(tree, attrs, params.D, changes)
+    elif params.D <= srd(tree, attrs.w):
+        return rep.status is Status.ALREADY_SATISFIED and rep.cost == 0, \
+            "demand already met"
+    elif params.D > srd(tree, attrs.u):
+        return rep.status is Status.INFEASIBLE, "demand unreachable"
     else:
-        rep = bh.mcsdiptc_bh(tree, attrs, params.D, trial_changes)
-        ora = oracles.brute_bh(tree, attrs, "mcsdiptc", demand=params.D,
-                               max_changes=trial_changes)
+        ora, oracle = oracles.parametric_mcsdipt_inf(tree, attrs, params.D), "parametric"
+
+    if problem in ("sdipt", "sdiptc"):
+        return _close(rep.objective, ora.objective), \
+            f"objective {rep.objective} vs {oracle} {ora.objective}"
     if not ora.feasible:
         return rep.status is Status.INFEASIBLE, "oracle infeasible"
     if rep.status is Status.INFEASIBLE:
         return False, f"solver infeasible, oracle cost {ora.objective}"
     # Bottleneck costs are drawn from the cost values themselves, so a
     # correct solver reproduces the oracle cost exactly.
-    return rep.cost == ora.objective, f"cost {rep.cost} vs brute {ora.objective}"
+    same = rep.cost == ora.objective if norm == "bh" else _close(rep.cost, ora.objective)
+    return same, f"cost {rep.cost} vs {oracle} {ora.objective}"
 
 
 def verify_cmd(args, out=None) -> int:
     out = out if out is not None else sys.stdout
+    if args.trials < 0:
+        raise BadConfig(f"--trials {args.trials} is below 0, so there is no campaign to run")
     if args.max_n < 2:
         raise BadConfig(f"--max-n {args.max_n} is below 2, the fewest edges a trial draws")
     problems = [args.problem] if args.problem else list(PROBLEMS)
@@ -297,7 +266,12 @@ def run_bench(sizes, reps: int, seed: int):
 
 def bench_cmd(args, out=None) -> int:
     out = out if out is not None else sys.stdout
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    sizes = []
+    for token in filter(None, args.sizes.split(",")):
+        try:
+            sizes.append(int(token))
+        except ValueError:
+            raise BadConfig(f"--sizes entry {token!r} is not an integer") from None
     rows = run_bench(sizes, args.reps, args.seed)
     print("# shape uniform-random-parent; K~U(0,maxF], D~U[w(T),u(T)), N~U{1..n}",
           file=out)
@@ -355,10 +329,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SrdTreeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SrdTreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

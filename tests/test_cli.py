@@ -1,11 +1,16 @@
+import hashlib
 import json
+import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from srdtree import Status, digest
-from srdtree.cli import main
+import srdtree
+from srdtree import GenConfig, Status, digest, generate, serialize
+from srdtree.cli import NORMS, PROBLEMS, main
+from srdtree.instance import SHAPES
 from srdtree.report import SolveReport
 
 BROOM_TEXT = """\
@@ -112,10 +117,12 @@ class TestSolve:
         assert "line 4" in capsys.readouterr().err
 
     def test_runs_as_module(self, broom_file):
+        # the child imports the package these tests import, installed or not
+        src = os.path.dirname(os.path.dirname(srdtree.__file__))
         proc = subprocess.run(
             [sys.executable, "-m", "srdtree", "solve", "--problem", "sdipt",
              "--norm", "bh", "--instance", broom_file, "--k", "1"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0
         assert "objective 12.0" in proc.stdout
 
@@ -165,6 +172,14 @@ class TestVerify:
         assert rc == 0
         assert "0/0 agree" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("trials", ["-1", "-3"])
+    def test_negative_trials_is_refused(self, trials, capsys):
+        rc = main(["verify", "--trials", trials, "--max-n", "5", "--seed", "0"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --trials {trials} is below 0, so there is no campaign to run\n"
+
     @pytest.mark.parametrize("max_n", ["1", "0", "-3"])
     def test_max_n_below_two_is_refused(self, max_n, capsys):
         rc = main(["verify", "--trials", "3", "--max-n", max_n, "--seed", "0"])
@@ -182,7 +197,7 @@ class TestVerify:
             return SolveReport(Status.FEASIBLE, dict(attrs.w), total, 0,
                                frozenset())
 
-        monkeypatch.setattr(cli.linf, "sdipt_inf", lazy)
+        monkeypatch.setitem(cli.SOLVERS, ("sdipt", "linf"), lazy)
         monkeypatch.chdir(tmp_path)
         rc = main(["verify", "--trials", "5", "--max-n", "6", "--seed", "2",
                    "--problem", "sdipt", "--norm", "linf"])
@@ -208,6 +223,14 @@ class TestBench:
             assert float(fields[4]) >= 0.0
             assert float(fields[5]) >= float(fields[6])
 
+    @pytest.mark.parametrize("sizes, token", [("10,abc", "abc"), ("40,2.5", "2.5")])
+    def test_non_integer_size_is_refused(self, sizes, token, capsys):
+        rc = main(["bench", "--sizes", sizes, "--reps", "1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --sizes entry {token!r} is not an integer\n"
+
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_reps_below_one_is_refused(self, reps, capsys):
         rc = main(["bench", "--sizes", "40", "--reps", reps])
@@ -215,3 +238,48 @@ class TestBench:
         assert rc == 1
         assert captured.out == ""
         assert captured.err == f"error: --reps {reps} is below 1, so there is nothing to time\n"
+
+
+# sha256 of every solve report, text and JSON, on a generated 2000-node
+# instance of each shape, with the wall time masked.  Any change to a
+# solver's answer or to the report layout moves these.
+SOLVE_DIGESTS = {
+    "uniform-random-parent":
+        "8693d7a9ba417df22063fcd4a79d25f0db8f79968cfb668f896cf36dd97fb878",
+    "caterpillar":
+        "dad6f86096c121e1ace6c954b237b8c18b998b41ceb1d68025b86ad6d149e592",
+    "star":
+        "c16be64910e1285537f7525c31fb68e1f49ea9f5c67f353b5f26aff433c4c238",
+    "binary":
+        "14a6b5ffe9e75747aa6ca387a490b5f815a1fc3dfc968c3f0c93f04de08cc7db",
+}
+# sha256 of the stdout of verify --trials 200 --max-n 8 --seed 7.
+VERIFY_DIGEST = "e869b5cdfa7e17303ed5d6f58e82d8457efc2917a798d314e5071609017943f0"
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_solve_reports(self, shape, tmp_path, capsys):
+        path = tmp_path / "inst.tif"
+        path.write_text(serialize(generate(GenConfig(node_count=2000, seed=7,
+                                                     shape=shape))))
+        h = hashlib.sha256()
+        # a change bound that binds every sdiptc answer and leaves the binary
+        # tree's capped demand feasible, then a demand no upgrade reaches
+        for extra in (["--n", "300"], ["--d", "1e18"]):
+            for problem in PROBLEMS:
+                for norm in NORMS:
+                    for fmt in ([], ["--json"]):
+                        rc = main(["solve", "--problem", problem, "--norm", norm,
+                                   "--instance", str(path)] + extra + fmt)
+                        out = re.sub(r'(wall_time_seconds"?:?) [^,}\n]+', r"\1 T",
+                                     capsys.readouterr().out)
+                        h.update(f"{rc}\n{out}".encode())
+        assert h.hexdigest() == SOLVE_DIGESTS[shape]
+
+    def test_verify_transcript(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["verify", "--trials", "200", "--max-n", "8", "--seed", "7"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGEST
