@@ -37,17 +37,23 @@ def sdipt_bh(tree: RootedTree, attrs: EdgeAttrs, budget) -> SolveReport:
     return sdiptc_bh(tree, attrs, budget, tree.n)
 
 
-def _raise_at(tree, attrs, table, level, N):
+def _raise_at(tree, attrs, table, level, N, by_S=None):
     """The budget raise at price ceiling ``level``: its weights and changed edges.
 
     Of the edges with c <= level, the N largest full-raise gains S rise to
-    u, ties to the smaller id as ``sorted_by_S`` lists them; all when at
-    most N are affordable.  Every other edge keeps w.
+    u, ties to the smaller id; all when at most N are affordable.  Every
+    other edge keeps w.  A caller that holds ``sorted_by_S`` passes it as
+    ``by_S`` and the raise takes the first affordable edges from it;
+    otherwise only the affordable edges are sorted.
     """
     c = attrs.c
     kept = [e for e in tree.counts if c[e] <= level]
     if len(kept) > N:
-        kept = list(islice((e for e in table.sorted_by_S if c[e] <= level), N))
+        if by_S is None:
+            # ids ascend and the sort is stable, so ties keep the smaller id
+            kept = sorted(kept, key=table.S.__getitem__, reverse=True)[:N]
+        else:
+            kept = list(islice((e for e in by_S if c[e] <= level), N))
     weights = raised_to_u(attrs, kept)
     return weights, modified_edges(weights, attrs, kept)
 
@@ -115,6 +121,8 @@ def mcsdiptc_bh(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) ->
     take = min(bisect_left(covered, delta), len(alpha))
     c = attrs.c
     ceiling = c[alpha[take - 1]]
-    weights, mods = _raise_at(tree, attrs, table, ceiling, max_changes)
+    # the gate sorted by S exactly when more than max_changes edges gain
+    by_S = table.sorted_by_S if table.gaining > max_changes else None
+    weights, mods = _raise_at(tree, attrs, table, ceiling, max_changes, by_S)
     breakpoint = bisect_right(alpha, ceiling, take, key=c.__getitem__)
     return demand_report(weights, mods, max(c[e] for e in mods), breakpoint=breakpoint)

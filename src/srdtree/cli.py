@@ -136,6 +136,9 @@ def gen_cmd(args, out=None) -> int:
 
 
 def _close(a, b, tol=REL_TOL) -> bool:
+    """a and b agree to ``tol``, relative; an infinite value agrees only with an equal one."""
+    if math.inf in (abs(a), abs(b)):
+        return a == b
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 

@@ -398,7 +398,7 @@ def generate(config: GenConfig) -> InstanceFile:
     attrs = EdgeAttrs(w, u, c)
     w_total = srd(tree, w)
     u_total = srd(tree, u)
-    top_raise = max(EdgeScoreTable(tree, attrs).F.values())
+    top_raise = max(EdgeScoreTable(tree, attrs).F)
 
     budget = top_raise * (1.0 - rng.next_float())
     demand = w_total + rng.next_float() * (u_total - w_total)

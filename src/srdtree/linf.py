@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import reduce
 from itertools import accumulate, compress, islice, repeat
-from operator import add, ge, lt, mul
+from operator import add, ge, lt, mul, ne
 
 from .errors import check_budget, check_change_bound, check_demand
 from .report import INFEASIBLE, SolveReport, already_satisfied, budget_report, demand_report
@@ -46,7 +46,7 @@ def _raise_at(tree, attrs, level, N, edges=None):
     beyond the float range needs no care while every F is a finite float.
     """
     w, u, c = attrs.w, attrs.u, attrs.c
-    raised = {}
+    raised, on_line = {}, []
     for e in tree.counts if edges is None else edges:
         we, ue, ce = w[e], u[e], c[e]
         if ce * (ue - we) <= level:
@@ -55,15 +55,32 @@ def _raise_at(tree, attrs, level, N, edges=None):
         elif level:
             step = we + level / ce
             raised[e] = step if step < ue else ue
+            on_line.append(e)
     if len(raised) > N:
-        counts = tree.counts
-        gain = {e: counts[e] * (u[e] - w[e]) if c[e] * (u[e] - w[e]) <= level
-                else counts[e] / c[e] * level for e in raised}
+        counts, on_line = tree.counts, set(on_line)
+        gain = {e: counts[e] / c[e] * level if e in on_line else counts[e] * (u[e] - w[e])
+                for e in raised}
         # ids ascend and the sort is stable, so ties keep the smaller id
         raised = {e: raised[e] for e in sorted(gain, key=gain.__getitem__, reverse=True)[:N]}
     weights = dict(w)
     weights.update(raised)
     return weights, raised
+
+
+def _raise_every(table, attrs, level):
+    """``_raise_at`` with no cap on the changes: its weights and changed edges.
+
+    One pass over the table's id-ordered columns F, w, u and c gives every
+    edge its new weight; the weights keep the key order of ``attrs.w``.
+    """
+    w = table.w
+    new = [(ue if ue != we else we) if f <= level
+           else (step if (step := we + level / ce) < ue else ue) if level else we
+           for f, we, ue, ce in zip(islice(table.F, 1, None), w, table.u, table.c)]
+    ids = table.ids
+    weights = dict(attrs.w)
+    weights.update(zip(ids, new))
+    return weights, frozenset(compress(ids, map(ne, new, w)))
 
 
 def sdipt_inf(tree: RootedTree, attrs: EdgeAttrs, budget) -> SolveReport:
@@ -120,7 +137,9 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
     between its kinks at F.  Prefix sums over the F order tabulate it at
     every kink, one bisection of that table finds k, and C* is F(k) plus
     the uncovered rest over the slope, nu summed over the edges not yet
-    saturated.  ``iterations`` is 0.  Otherwise the solve
+    saturated.  The raise at C* then needs no ranking and is one pass over
+    the table's id-ordered columns, ``_raise_every``.  ``iterations`` is 0.
+    Otherwise the solve
 
     1. bisects over the F order for k, one top() per probe (``iterations``);
     2. inside the bracket the edges with F <= F(k) gain the constants S
@@ -157,7 +176,7 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
     order = table.sorted_by_F
     F_sorted = list(map(F.__getitem__, order))
     n = len(order)
-    probes, edges = 0, None
+    probes = 0
 
     if table.gaining <= N:
         # tail[k]: nu summed over order[k:], the slope of covered() past kink k
@@ -178,6 +197,7 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
             level = F_sorted[k - 1] if k else 0
             # rounding may put the cost a hair past the next kink, as below
             cost = min(level + (delta - covered[k]) / tail[k], F_sorted[k])
+        weights, mods = _raise_every(table, attrs, cost)
     else:
         by_S, by_nu = table.sorted_by_S, table.sorted_by_nu
         F_by_S = [F[e] for e in by_S]
@@ -226,9 +246,8 @@ def mcsdiptc_inf(tree: RootedTree, attrs: EdgeAttrs, demand, max_changes: int) -
             # a hair past
             cost = min(cost, F_sorted[k])
         sat, free = split(cost)
-        edges = sorted(sat + free)
+        weights, raised = _raise_at(tree, attrs, cost, N, sorted(sat + free))
+        mods = modified_edges(weights, attrs, raised)
 
-    weights, raised = _raise_at(tree, attrs, cost, N, edges)
     # the k with F(k) < cost <= F(k + 1), as F_sorted[k - 1] is F(k)
-    return demand_report(weights, modified_edges(weights, attrs, raised), cost,
-                         probes, bisect_left(F_sorted, cost))
+    return demand_report(weights, mods, cost, probes, bisect_left(F_sorted, cost))

@@ -2,8 +2,11 @@
 
 An edge is identified with the node it enters, so a tree with n edges has
 n + 1 nodes and edge ids are the dense integers 1..n.  Attribute tables and
-weight vectors are plain dicts keyed by edge id; values are floats by
-default, and exact rationals (fractions.Fraction) work everywhere because
+weight vectors are plain dicts keyed by edge id, in whatever key order the
+caller gave; the per-edge scores the solvers search are lists indexed by
+edge id, read off these dicts in id order (``scores.EdgeScoreTable``), and
+every weight dict a solver returns keeps the key order of w.  Values are
+floats by default, and exact rationals (fractions.Fraction) work everywhere because
 nothing below ever leaves +, -, *, / and comparisons.  An edge counts as
 changed exactly when its weight differs from its starting weight, with no
 tolerance in either mode; ``modified_edges`` is that one test.

@@ -469,7 +469,7 @@ def test_c11_demand_answers_are_budget_duals(record):
             tree, attrs, params = inst.tree, inst.attrs, inst.params
             n = tree.n
             w_total = srd(tree, attrs.w)
-            gains = sorted(EdgeScoreTable(tree, attrs).S.values(), reverse=True)
+            gains = sorted(EdgeScoreTable(tree, attrs).S[1:], reverse=True)
             prices = sorted(set(attrs.c.values()))
             # (demand, N, whether the uncapped solver answers it too)
             cases = [(params.D, params.N, True)]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -205,6 +206,31 @@ class TestVerify:
         assert rc == 1
         assert "mismatch sdipt linf" in out
         assert (tmp_path / "verify_mismatch_sdipt_linf.tif").exists()
+
+    def test_catches_an_infinite_budget_objective(self, tmp_path, monkeypatch, capsys):
+        from srdtree import cli
+
+        def boundless(tree, attrs, budget, max_changes):
+            return SolveReport(Status.FEASIBLE, dict(attrs.w), math.inf, 0, frozenset())
+
+        monkeypatch.setitem(cli.SOLVERS, ("sdiptc", "linf"), boundless)
+        monkeypatch.chdir(tmp_path)
+        rc = main(["verify", "--trials", "5", "--max-n", "6", "--seed", "2",
+                   "--problem", "sdiptc", "--norm", "linf"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "mismatch sdiptc linf" in out
+        assert (tmp_path / "verify_mismatch_sdiptc_linf.tif").exists()
+
+    @pytest.mark.parametrize("a, b, close", [
+        (math.inf, 5.0, False), (5.0, math.inf, False), (-math.inf, 5.0, False),
+        (math.inf, -math.inf, False), (math.inf, math.inf, True),
+        (1.0, 1.0 + 1e-12, True), (1.0, 1.1, False),
+    ])
+    def test_close_accepts_an_infinite_value_only_against_an_equal_one(self, a, b, close):
+        from srdtree.cli import _close
+
+        assert _close(a, b) is close
 
 
 class TestBench:
